@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
@@ -93,6 +92,13 @@ def _parse_construct(text: str) -> ConstructionParams:
     return ConstructionParams(t, k, n)
 
 
+def _parse_seeds(text: str) -> frozenset[int]:
+    try:
+        return frozenset(int(p) for p in text.split(","))
+    except ValueError:
+        raise ValueError(f"--seed expects comma separated vertex ids, got {text!r}") from None
+
+
 def _load_graph(args) -> tuple[Graph, dict]:
     """Resolve the one graph source the command was given."""
     sources = [
@@ -128,8 +134,8 @@ def _add_graph_source(sub: argparse.ArgumentParser) -> None:
 
 
 def _add_budget(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--node-cap", type=int, help="search node budget per subproblem")
-    sub.add_argument("--time-cap", type=float, help="seconds per subproblem search")
+    sub.add_argument("--node-cap", type=int, help="search node budget per search")
+    sub.add_argument("--time-cap", type=float, help="seconds per search")
 
 
 def cmd_construct(args) -> int:
@@ -168,7 +174,7 @@ def cmd_verify(args) -> int:
     parse_ms = (time.perf_counter() - t0) * 1000
     budget = _budget(args)
     t0 = time.perf_counter()
-    report = is_cocritical(g, args.t, args.k, budget, jobs=args.jobs)
+    report = is_cocritical(g, args.t, args.k, budget)
     verify_ms = (time.perf_counter() - t0) * 1000
     results = report.to_json()
     results["graph6"] = emit_graph6(g)
@@ -186,7 +192,7 @@ def cmd_verify(args) -> int:
         checks_ms = (time.perf_counter() - t0) * 1000
     _emit(
         "verify",
-        {**source, "t": args.t, "k": args.k, "jobs": args.jobs, "checks": args.checks},
+        {**source, "t": args.t, "k": args.k, "checks": args.checks},
         results,
         {"parse_ms": parse_ms, "verify_ms": verify_ms, "checks_ms": checks_ms},
     )
@@ -260,9 +266,7 @@ def cmd_percolate(args) -> int:
             return EXIT_FALSE
         blocks = blue_blocks(tau)
     H = cross_graph(g, blocks)
-    seeds = (
-        frozenset(int(p) for p in args.seed.split(",")) if args.seed is not None else None
-    )
+    seeds = _parse_seeds(args.seed) if args.seed is not None else None
     derive_ms = (time.perf_counter() - t0) * 1000
     t0 = time.perf_counter()
     try:
@@ -393,7 +397,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="cocritical",
         description="Construct, verify, and certify co-critical graphs.",
     )
-    default_jobs = int(os.environ.get("COCRIT_JOBS", "1"))
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("construct", help="build the parameterized co-critical graph")
@@ -408,7 +411,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_budget(p)
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=default_jobs)
     p.add_argument("--checks", action="store_true", help="add structure check sections")
     p.set_defaults(fn=cmd_verify)
 

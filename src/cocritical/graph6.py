@@ -83,8 +83,16 @@ def _parse_order(data: list[int]) -> tuple[int, int]:
 
 
 def parse_graph6_lines(text: str) -> list[Graph]:
-    """Parse one graph per nonblank line."""
-    return [parse_graph6(line) for line in text.splitlines() if line.strip()]
+    """Parse one graph per nonblank line; errors name the 1-based line."""
+    graphs = []
+    for number, line in enumerate(text.splitlines(), 1):
+        if not line.strip():
+            continue
+        try:
+            graphs.append(parse_graph6(line))
+        except ValueError as exc:
+            raise ValueError(f"line {number}: {exc}") from None
+    return graphs
 
 
 def emit_adjacency_text(g: Graph) -> str:

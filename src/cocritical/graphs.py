@@ -35,6 +35,11 @@ def bitmask(vertices: Iterable[int]) -> int:
     return m
 
 
+def _check_order(n: int) -> None:
+    if not 0 <= n <= MAX_ORDER:
+        raise ValueError(f"graph order {n} outside 0..{MAX_ORDER}")
+
+
 @dataclass(frozen=True)
 class Graph:
     """Immutable undirected graph on vertices 0..n-1 with bitmask rows."""
@@ -43,8 +48,7 @@ class Graph:
     adj: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not 0 <= self.n <= MAX_ORDER:
-            raise ValueError(f"graph order {self.n} outside 0..{MAX_ORDER}")
+        _check_order(self.n)
         if len(self.adj) != self.n:
             raise ValueError("adjacency row count does not match order")
         full = (1 << self.n) - 1
@@ -121,8 +125,7 @@ class Graph:
 
 def make_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build a graph from an edge list; rejects loops and out-of-range ids."""
-    if not 0 <= n <= MAX_ORDER:
-        raise ValueError(f"graph order {n} outside 0..{MAX_ORDER}")
+    _check_order(n)
     rows = [0] * n
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):
@@ -139,6 +142,7 @@ def empty_graph(n: int) -> Graph:
 
 
 def complete_graph(n: int) -> Graph:
+    _check_order(n)
     full = (1 << n) - 1
     return Graph(n, tuple(full ^ (1 << v) for v in range(n)))
 

@@ -74,7 +74,8 @@ class SearchBudget:
     enumeration_cap: int = DEFAULT_ENUMERATION_CAP
 
     def __post_init__(self) -> None:
-        if self.node_cap <= 0 or self.time_cap <= 0 or self.enumeration_cap <= 0:
+        # written as "not > 0" so that a NaN cap is rejected too
+        if not (self.node_cap > 0 and self.time_cap > 0 and self.enumeration_cap > 0):
             raise ValueError("budget caps must be positive")
 
 

@@ -2,11 +2,11 @@
 
 A non-complete graph is co-critical for (t, k) when it has a good coloring
 (no red clique on t vertices, no blue component on k) but gains none back
-after any single edge addition: every supergraph g+e must exhaust its search
-space without finding one.  The verifier runs that search once on the base
-graph and once per non-edge, merges the results deterministically, and keeps
-the three possible answers apart: co-critical, demonstrably not, or
-indeterminate because a budget ran out.
+after any single edge addition: no supergraph g+e has one.  Every good
+coloring of g+e restricts to one of g, so the verifier walks the good
+partitions of g once and asks at each leaf which non-edges it would let
+back in.  It keeps the three possible answers apart: co-critical,
+demonstrably not, or indeterminate because the budget ran out.
 
 The structural checks translate what must hold for verified co-critical
 graphs under a maximum-red coloring into executable form: degree windows on
@@ -18,7 +18,6 @@ within-block edges, and connectivity of the cross graph.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -33,6 +32,7 @@ from .coloring import (
 from .construction import block_edge_lower_bound
 from .graphs import (
     Graph,
+    _clique_rec,
     add_edge,
     bitmask,
     clique_in_mask,
@@ -47,7 +47,9 @@ from .search import (
     EXHAUSTED,
     FOUND,
     SearchBudget,
-    exists_critical_coloring,
+    _assert_witness,
+    _blocks_to_partition,
+    _walk_partitions,
     max_red_critical_coloring,
 )
 from .stable import clique_core
@@ -110,65 +112,97 @@ class CocriticalReport:
         }
 
 
-def _nonedge_task(payload: tuple[Graph, int, int, Edge, SearchBudget]):
-    g, t, k, edge, budget = payload
-    outcome = exists_critical_coloring(add_edge(g, *edge), t, k, budget)
-    return edge, outcome.status, outcome.nodes, outcome.millis
-
-
 def is_cocritical(
     g: Graph,
     t: int,
     k: int,
     budget: SearchBudget | None = None,
-    jobs: int = 1,
     fail_fast: bool = False,
 ) -> CocriticalReport:
-    """Full co-criticality report; the budget applies to each search separately.
+    """Full co-criticality report from one walk over the good partitions of g.
 
-    jobs > 1 spreads the independent non-edge checks over worker processes;
-    results are merged back in non-edge order, so only wall time changes.
-    fail_fast stops at the first failed non-edge (report marked incomplete),
-    which is enough to answer "not co-critical" early.
+    Soundness is the restriction argument.  A good coloring of g+uv,
+    restricted to g, is a good coloring of g, and a graph has a good coloring
+    iff it has a good block partition (blue components as blocks).  Hence
+    g+uv has a good coloring iff some good partition P of g satisfies one of:
+
+    1. u and v share a block: P is good for g+uv, uv blue inside the block;
+    2. B(u) and B(v) together hold at most k-1 vertices: merging them
+       through a blue uv gives a connected block of at most k-1 vertices and
+       removes cross edges (with B(u) = B(v) this always holds: case 1);
+    3. cross[u] & cross[v] holds no K_{t-2}: uv can be red without closing a
+       red K_t.
+
+    Conversely let Q be a good partition of g+uv.  If u and v lie in
+    different blocks, Q is good for g and (3) holds.  If they share a block
+    that g keeps connected, Q is good for g and (1) holds.  Otherwise uv is a
+    bridge of that block; its two sides have no g-edge between them, so
+    splitting the block leaves the cross graph unchanged and (2) holds.
+
+    The walk therefore tests every open non-edge at every leaf and stops once
+    none is open, or at the first leaf that settles one under fail_fast.  A
+    non-edge still open when the walk is exhausted is arrowed; one still open
+    when the budget runs out is reported as BUDGET.  The budget bounds this
+    one walk.  per_edge_stats has one (edge, nodes, millis) row per checked
+    non-edge, in g.non_edges() order, each carrying the walk's totals; under
+    fail_fast a stopped walk checks only the first non-edge its last leaf
+    settled (report marked incomplete when others remain).
     """
     budget = budget or SearchBudget()
-    base = exists_critical_coloring(g, t, k, budget)
+    n, adj, limit, need = g.n, g.adj, k - 1, t - 2
     non_edges = g.non_edges()
-    if base.status != FOUND or not non_edges:
-        # no good base coloring (or complete graph): settled without edge scans
-        return CocriticalReport(
-            t, k, len(non_edges), base.status, base.witness, (), (), True
-        )
+    open_edges = list(non_edges)
+    first: list[int] = []  # block masks of the first leaf: the base witness
+    settled: dict[Edge, list[int]] = {}  # non-edge -> good partition of g+uv
+
+    def on_partition(blocks: list[int]) -> bool:
+        leaf = list(blocks)  # the walker reuses its list
+        if not first:
+            first.extend(leaf)
+        block_of = [0] * n
+        for m in blocks:
+            for v in iter_bits(m):
+                block_of[v] = m
+        cross = [adj[v] & ~block_of[v] for v in range(n)]
+        still_open = []
+        for u, v in open_edges:
+            bu, bv = block_of[u], block_of[v]
+            if (bu | bv).bit_count() <= limit:  # (1) is the case bu == bv
+                merged = [m for m in leaf if m not in (bu, bv)] + [bu | bv]
+                settled[(u, v)] = sorted(merged, key=lambda m: m & -m)
+            elif not _clique_rec(cross, cross[u] & cross[v], need):
+                settled[(u, v)] = leaf
+            else:
+                still_open.append((u, v))
+        settled_here = len(still_open) < len(open_edges)
+        open_edges[:] = still_open
+        return not open_edges or (fail_fast and settled_here)
+
+    status, nodes, millis = _walk_partitions(g, t, k, budget, on_partition)
+    if not first:
+        # no good base coloring, or none found within the budget
+        return CocriticalReport(t, k, len(non_edges), status, None, (), (), True)
+    base_witness = _blocks_to_partition(first, limit)
+    _assert_witness(g, t, k, base_witness)
+    checked = non_edges
+    if fail_fast and settled:
+        checked = [next(e for e in non_edges if e in settled)]
     failures: list[tuple[Edge, str]] = []
-    stats: list[tuple[Edge, int, float]] = []
-    complete = True
-    if jobs > 1 and not fail_fast:
-        payloads = [(g, t, k, e, budget) for e in non_edges]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_nonedge_task, payloads))
-    else:
-        results = []
-        for e in non_edges:
-            results.append(_nonedge_task((g, t, k, e, budget)))
-            if fail_fast and results[-1][1] != EXHAUSTED:
-                break
-    for edge, status, nodes, ms in results:
-        stats.append((edge, nodes, ms))
-        if status == FOUND:
-            failures.append((edge, STILL_COLORABLE))
+    for e in checked:
+        if e in settled:
+            _assert_witness(add_edge(g, *e), t, k, _blocks_to_partition(settled[e], limit))
+            failures.append((e, STILL_COLORABLE))
         elif status == BUDGET_EXCEEDED:
-            failures.append((edge, BUDGET))
-    if len(results) < len(non_edges):
-        complete = False
+            failures.append((e, BUDGET))
     return CocriticalReport(
         t,
         k,
         len(non_edges),
-        base.status,
-        base.witness,
+        FOUND,
+        base_witness,
         tuple(failures),
-        tuple(stats),
-        complete,
+        tuple((e, nodes, millis) for e in checked),
+        len(checked) == len(non_edges),
     )
 
 

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from cocritical.cli import build_parser, main
+from cocritical.cli import main
 from cocritical.construction import ConstructionParams, build
 from cocritical.graph6 import emit_graph6, parse_graph6
 
@@ -185,12 +185,34 @@ def test_usage_errors(capsys):
         main(["no-such-command"])
 
 
-def test_jobs_env_default(monkeypatch):
-    monkeypatch.setenv("COCRIT_JOBS", "2")
-    args = build_parser().parse_args(
-        ["verify", "--complete", "4", "--t", "3", "--k", "3"]
+def test_nan_time_cap_is_a_usage_error(capsys):
+    code, out, err = run_cli(
+        capsys, "verify", "--complete", "4", "--t", "3", "--k", "3", "--time-cap", "nan"
     )
-    assert args.jobs == 2
+    assert code == 2 and out == ""
+    assert "budget caps must be positive" in err
+
+
+def test_negative_complete_order(capsys):
+    code, _, err = run_cli(capsys, "verify", "--complete", "-1", "--t", "3", "--k", "3")
+    assert code == 2
+    assert "graph order -1 outside" in err and "shift" not in err
+
+
+def test_props_bad_line_is_located(capsys, tmp_path):
+    corpus = tmp_path / "corpus.g6"
+    corpus.write_text("C~\n\nDN{\n\x01bad\n")
+    code, _, err = run_cli(capsys, "props", "--corpus", str(corpus))
+    assert code == 2
+    assert "line 4: byte 0:" in err
+
+
+def test_percolate_bad_seed_names_the_option(capsys):
+    code, _, err = run_cli(
+        capsys, "percolate", "--construct", "4,3,13", "--q", "3", "--seed", "1,,2"
+    )
+    assert code == 2
+    assert "--seed" in err and "'1,,2'" in err
 
 
 def test_entry_point_subprocess():

@@ -141,6 +141,8 @@ def test_budget_validation():
         SearchBudget(node_cap=0)
     with pytest.raises(ValueError):
         SearchBudget(time_cap=-1.0)
+    with pytest.raises(ValueError):
+        SearchBudget(time_cap=float("nan"))
 
 
 def test_parameter_validation():

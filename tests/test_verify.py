@@ -3,11 +3,13 @@ exhaustive minimum search."""
 
 import pytest
 
+from cocritical import verify
+from cocritical.canon import nonisomorphic_graphs
 from cocritical.coloring import make_coloring
 from cocritical.construction import ConstructionParams, blueprint_coloring, build
-from cocritical.graphs import complete_graph, cycle_graph, empty_graph, path_graph
+from cocritical.graphs import add_edge, complete_graph, cycle_graph, empty_graph, path_graph
 from cocritical.graph6 import emit_graph6, parse_graph6
-from cocritical.search import SearchBudget
+from cocritical.search import FOUND, SearchBudget, _walk_partitions, exists_critical_coloring
 from cocritical.verify import (
     BUDGET,
     CO_CRITICAL,
@@ -34,13 +36,51 @@ def test_is_cocritical_on_frozen_instance():
     assert doc["verdict"] == CO_CRITICAL and len(doc["per_edge_stats"]) == 34
 
 
-def test_jobs_do_not_change_the_answer():
-    g = build(ConstructionParams(4, 3, 13))
-    serial = is_cocritical(g, 4, 3)
-    parallel = is_cocritical(g, 4, 3, jobs=2)
-    assert parallel.verdict() == serial.verdict()
-    assert parallel.failures == serial.failures
-    assert [s[:2] for s in parallel.per_edge_stats] == [s[:2] for s in serial.per_edge_stats]
+def _per_nonedge_oracle(g, t, k):
+    """(verdict, failures, base outcome) from one independent search per graph."""
+    base = exists_critical_coloring(g, t, k)
+    failures = ()
+    if base.status == FOUND:
+        failures = tuple(
+            (e, STILL_COLORABLE)
+            for e in g.non_edges()
+            if exists_critical_coloring(add_edge(g, *e), t, k).status == FOUND
+        )
+    verdict = CO_CRITICAL if base.status == FOUND and not failures else NOT_CO_CRITICAL
+    return verdict, failures, base
+
+
+def test_one_walk_matches_per_nonedge_oracle():
+    disagreements = []
+    cases = 0
+    for n in range(2, 8):
+        for g in nonisomorphic_graphs(n):
+            if not g.non_edges():
+                continue
+            for t, k in ((2, 3), (3, 3), (3, 4), (4, 3)):
+                cases += 1
+                verdict, failures, base = _per_nonedge_oracle(g, t, k)
+                report = is_cocritical(g, t, k)
+                got = (report.verdict(), report.failures, report.base_status, report.base_witness)
+                fast = is_cocritical(g, t, k, fail_fast=True).verdict()
+                if got != (verdict, failures, base.status, base.witness) or fast != verdict:
+                    disagreements.append((emit_graph6(g), t, k))
+    assert cases == 4980
+    assert disagreements == []
+
+
+def test_one_walk_per_call(monkeypatch):
+    calls = []
+
+    def counting_walk(*args, **kwargs):
+        calls.append(args[1:3])
+        return _walk_partitions(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "_walk_partitions", counting_walk)
+    for g, t, k in ((build(ConstructionParams(4, 3, 13)), 4, 3), (cycle_graph(5), 3, 3)):
+        calls.clear()
+        is_cocritical(g, t, k)
+        assert calls == [(t, k)]
 
 
 def test_complete_graph_is_never_cocritical():
@@ -70,10 +110,37 @@ def test_budget_indeterminate():
     assert report.verdict() == INDETERMINATE
 
 
+def test_budget_runs_out_mid_walk():
+    # the first leaf (the base witness) comes at 5,671 nodes; the cap then
+    # stops the one walk with every non-edge still open
+    g = build(ConstructionParams(4, 4, 18))
+    assert exists_critical_coloring(g, 4, 4).nodes == 5671
+    report = is_cocritical(g, 4, 4, SearchBudget(node_cap=20000))
+    assert report.base_status == FOUND and report.base_witness is not None
+    assert report.failures == tuple((e, BUDGET) for e in g.non_edges())
+    assert len(report.failures) == 66
+    assert report.verdict() == INDETERMINATE
+
+
 def test_fail_fast_stops_early():
     report = is_cocritical(cycle_graph(5), 3, 3, fail_fast=True)
     assert report.verdict() == NOT_CO_CRITICAL
     assert len(report.per_edge_stats) == 1
+
+
+def test_fail_fast_reports_first_settled_nonedge():
+    # the first leaf of the 5-cycle settles every chord; fail_fast keeps the
+    # first one in non-edge order and marks the report incomplete
+    g = cycle_graph(5)
+    full = is_cocritical(g, 3, 3)
+    fast = is_cocritical(g, 3, 3, fail_fast=True)
+    first = g.non_edges()[0]
+    assert fast.failures == ((first, STILL_COLORABLE),)
+    assert [row[0] for row in fast.per_edge_stats] == [first]
+    assert not fast.complete and full.complete
+    assert fast.base_witness == full.base_witness
+    # every row carries the totals of the one walk
+    assert len({row[1:] for row in full.per_edge_stats}) == 1
 
 
 def test_minimum_witness_is_cocritical():
