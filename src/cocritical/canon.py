@@ -5,13 +5,20 @@ vertices into cells that any isomorphism must respect, then a backtracking
 pass over cell-respecting orderings picks the one whose adjacency bit string
 is lexicographically smallest.  The refinement signatures are built purely
 from color multisets, so isomorphic graphs refine to matching cell structures
-and end up with identical canonical forms.  Adequate for orders up to 8; the
-generator below never needs more.
+and end up with identical canonical forms.  Labeling is guarded to
+``CANONICAL_ORDER_CAP`` (10) vertices, beyond which the backtracking over
+large cells gets slow; exhaustive generation is guarded separately to 8
+vertices (12,346 classes), the most the minimum search scans.
+
+Generation grows each class by one vertex, but only by neighborhoods in which
+the new vertex has minimum degree (McKay, "Isomorph-free exhaustive
+generation", J. Algorithms 1998, restricts the last vertex in the same way).
+Every other attachment is skipped before it is labeled.
 """
 
 from __future__ import annotations
 
-from .graphs import Graph, MAX_ORDER, iter_bits, relabel
+from .graphs import Graph, iter_bits, relabel
 
 CANONICAL_ORDER_CAP = 10
 
@@ -96,37 +103,40 @@ def are_isomorphic(a: Graph, b: Graph) -> bool:
     return canonical_key(a) == canonical_key(b)
 
 
-def _augmentations(g: Graph) -> list[Graph]:
-    """g plus one new vertex, over all 2^n attachment neighborhoods."""
-    out = []
-    n = g.n
-    for nbhd in range(1 << n):
-        rows = [row | ((nbhd >> v & 1) << n) for v, row in enumerate(g.adj)]
-        rows.append(nbhd)
-        out.append(Graph(n + 1, tuple(rows)))
-    return out
-
-
 def nonisomorphic_graphs(n: int) -> list[Graph]:
     """Every graph on exactly n vertices, one per isomorphism class.
 
-    Built by leveling up: each class on m+1 vertices contains a vertex whose
-    removal leaves a graph on m, so augmenting every m-class by every possible
-    new neighborhood and deduplicating canonically covers everything.  Returns
-    canonical representatives sorted by edge count, then adjacency rows.
+    Built by leveling up: each class g on m vertices is extended by every new
+    neighborhood S in which the new vertex has minimum degree, that is
+    deg_g(u) + [u in S] >= |S| for every old vertex u, and the children are
+    deduplicated canonically.  Returns canonical representatives sorted by
+    edge count, then adjacency rows.
+
+    Soundness: every graph H on m+1 vertices has a vertex v of minimum degree.
+    H - v is isomorphic to a listed class g, by some map phi.  Attaching a new
+    vertex to phi(N(v)) gives a copy of H in which the new vertex has minimum
+    degree, so the filter keeps that copy and no class is lost.
     """
     if not 1 <= n <= 8:
         raise ValueError("exhaustive generation guarded to 1 <= n <= 8")
-    if n > MAX_ORDER:
-        raise ValueError("order exceeds graph cap")
     level = [Graph(1, (0,))]
-    for _ in range(n - 1):
+    for m in range(1, n):
         seen: dict[tuple[int, ...], Graph] = {}
         for g in level:
-            for h in _augmentations(g):
-                key = canonical_key(h)
+            degrees = g.degree_sequence()
+            low = min(degrees)
+            # |S| <= low always passes; |S| == low + 1 passes only when S
+            # holds every vertex of degree low; larger S never passes
+            lowest = sum(1 << u for u, d in enumerate(degrees) if d == low)
+            for nbhd in range(1 << m):
+                size = nbhd.bit_count()
+                if size > low and (size > low + 1 or lowest & ~nbhd):
+                    continue
+                rows = [row | ((nbhd >> v & 1) << m) for v, row in enumerate(g.adj)]
+                rows.append(nbhd)
+                key = canonical_key(Graph(m + 1, tuple(rows)))
                 if key not in seen:
-                    seen[key] = Graph(h.n, key)
+                    seen[key] = Graph(m + 1, key)
         level = list(seen.values())
     level.sort(key=lambda g: (g.edge_count(), g.adj))
     return level

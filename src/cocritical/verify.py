@@ -467,10 +467,14 @@ def min_cocritical_search(
 
     The scan stops once the edge count passes a confirmed minimum.  Budget
     caps apply to each individual search; graphs left indeterminate by them
-    are reported and make the result incomplete.
+    are reported and make the result incomplete.  Parameters are checked
+    before any class is generated.
     """
-    if n > MIN_SEARCH_ORDER_CAP:
-        raise ValueError(f"exhaustive scan guarded to n <= {MIN_SEARCH_ORDER_CAP}")
+    for name, value in (("t", t), ("k", k)):
+        if value < 2:
+            raise ValueError(f"{name} must be at least 2, got {value}")
+    if not 1 <= n <= MIN_SEARCH_ORDER_CAP:
+        raise ValueError(f"n must be between 1 and {MIN_SEARCH_ORDER_CAP}, got {n}")
     budget = budget or SearchBudget()
     minimum: int | None = None
     witnesses: list[Graph] = []

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from cocritical import canon
 from cocritical.canon import (
     are_isomorphic,
     canonical_graph,
@@ -11,6 +12,7 @@ from cocritical.canon import (
     nonisomorphic_graphs,
 )
 from cocritical.graphs import (
+    Graph,
     complete_graph,
     cycle_graph,
     disjoint_union,
@@ -19,8 +21,8 @@ from cocritical.graphs import (
     relabel,
 )
 
-# class counts for unlabeled graphs on 1..7 vertices
-CLASS_COUNTS = [1, 2, 4, 11, 34, 156, 1044]
+# class counts for unlabeled graphs on 1..8 vertices (OEIS A000088)
+CLASS_COUNTS = [1, 2, 4, 11, 34, 156, 1044, 12346]
 
 
 def rand_graph(rng, n, p=0.5):
@@ -71,16 +73,63 @@ def test_class_counts():
 
 
 def test_generation_covers_all_graphs():
-    # on 4 vertices, hash every labeled graph into the catalog
-    catalog = {canonical_key(g) for g in nonisomorphic_graphs(4)}
-    pairs = [(u, v) for u in range(4) for v in range(u + 1, 4)]
+    # on 5 vertices, hash every labeled graph into the catalog
+    catalog = {canonical_key(g) for g in nonisomorphic_graphs(5)}
+    pairs = [(u, v) for u in range(5) for v in range(u + 1, 5)]
     seen = set()
-    for mask in range(1 << 6):
-        g = make_graph(4, [e for i, e in enumerate(pairs) if mask >> i & 1])
+    for mask in range(1 << len(pairs)):
+        g = make_graph(5, [e for i, e in enumerate(pairs) if mask >> i & 1])
         key = canonical_key(g)
         assert key in catalog
         seen.add(key)
     assert seen == catalog
+
+
+def _all_attachments_reference(n):
+    """Classes on n vertices from every one of the 2^m attachments of every
+    class on m vertices, with no degree filter: the generator's oracle."""
+    level = [Graph(1, (0,))]
+    for m in range(1, n):
+        seen = {}
+        for g in level:
+            for nbhd in range(1 << m):
+                rows = [row | ((nbhd >> v & 1) << m) for v, row in enumerate(g.adj)]
+                rows.append(nbhd)
+                key = canonical_key(Graph(m + 1, tuple(rows)))
+                seen.setdefault(key, Graph(m + 1, key))
+        level = list(seen.values())
+    level.sort(key=lambda g: (g.edge_count(), g.adj))
+    return level
+
+
+def test_generation_matches_all_attachments_reference():
+    for n in range(1, 8):
+        got = [g.adj for g in nonisomorphic_graphs(n)]
+        assert got == [g.adj for g in _all_attachments_reference(n)], n
+
+
+def test_generation_labels_only_minimum_degree_children(monkeypatch):
+    labeled = []
+
+    def recording_key(g):
+        labeled.append(g)
+        return canonical_key(g)
+
+    monkeypatch.setattr(canon, "canonical_key", recording_key)
+    assert len(nonisomorphic_graphs(7)) == 1044
+    assert labeled
+    assert all(h.degree(h.n - 1) == h.min_degree() for h in labeled)
+
+
+def test_generation_matches_networkx_atlas():
+    nx = pytest.importorskip("networkx")
+    atlas: dict[int, set] = {n: set() for n in range(1, 8)}
+    for h in nx.graph_atlas_g():
+        n = h.number_of_nodes()
+        if n:
+            atlas[n].add(canonical_key(make_graph(n, list(h.edges()))))
+    for n in range(1, 8):
+        assert atlas[n] == {g.adj for g in nonisomorphic_graphs(n)}, n
 
 
 def test_generation_sorted_by_edges():

@@ -147,6 +147,12 @@ def test_minsearch(capsys):
     assert doc["results"]["minimum_edges"] is None
 
 
+def test_minsearch_bad_parameter_names_it(capsys):
+    code, out, err = run_cli(capsys, "minsearch", "--t", "1", "--k", "3", "--n", "7")
+    assert code == 2 and out == ""
+    assert "t must be at least 2" in err
+
+
 def test_props(capsys, tmp_path):
     corpus = tmp_path / "corpus.g6"
     corpus.write_text("C~\nDN{\nBw\n")

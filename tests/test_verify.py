@@ -214,3 +214,13 @@ def test_min_search_frozen_values():
 def test_min_search_order_guard():
     with pytest.raises(ValueError):
         min_cocritical_search(3, 3, 9)
+
+
+def test_min_search_checks_parameters_before_generating(monkeypatch):
+    def unreachable(n):
+        raise AssertionError("generation reached with bad parameters")
+
+    monkeypatch.setattr(verify, "nonisomorphic_graphs", unreachable)
+    for (t, k, n), name in (((1, 3, 7), "t"), ((3, 1, 7), "k"), ((3, 3, 0), "n"), ((3, 3, 9), "n")):
+        with pytest.raises(ValueError, match=f"^{name} must"):
+            min_cocritical_search(t, k, n)
