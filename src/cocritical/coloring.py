@@ -60,10 +60,16 @@ def make_coloring(g: Graph, blue: Iterable[Edge]) -> EdgeColoring:
     return EdgeColoring(g, red_set, blue_set)
 
 
+def check_parameters(t: int, k: int) -> None:
+    """Reject a clique order t or a tree order k below 2, naming which."""
+    for name, value in (("t", t), ("k", k)):
+        if value < 2:
+            raise ValueError(f"{name} must be at least 2, got {value}")
+
+
 def is_critical(c: EdgeColoring, t: int, k: int) -> bool:
     """No red clique on t vertices and every blue component below k vertices."""
-    if t < 2 or k < 2:
-        raise ValueError("parameters must be at least 2")
+    check_parameters(t, k)
     if has_clique(c.red_graph(), t):
         return False
     return all(len(comp) <= k - 1 for comp in components(c.blue_graph()))

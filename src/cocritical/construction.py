@@ -27,15 +27,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .coloring import EdgeColoring, make_coloring
+from .coloring import EdgeColoring, check_parameters, make_coloring
 from .graphs import Graph, MAX_ORDER, make_graph
 
 
 def ramsey_number(t: int, k: int) -> int:
     """Smallest n with complete-graph arrowing: every coloring of K_n has a
     red clique on t vertices or a blue component on k."""
-    if t < 2 or k < 2:
-        raise ValueError("parameters must be at least 2")
+    check_parameters(t, k)
     return (t - 1) * (k - 1) + 1
 
 

@@ -30,10 +30,10 @@ from itertools import combinations, product
 from .coloring import (
     BlockPartition,
     EdgeColoring,
+    check_parameters,
     cross_graph,
     is_critical,
     make_coloring,
-    make_partition,
 )
 from .graphs import (
     Graph,
@@ -117,8 +117,7 @@ def _walk_partitions(g: Graph, t: int, k: int, budget: SearchBudget, on_partitio
     (status, nodes, millis) where status is EXHAUSTED, FOUND (stopped by
     on_partition), or BUDGET_EXCEEDED.
     """
-    if t < 2 or k < 2:
-        raise ValueError("parameters must be at least 2")
+    check_parameters(t, k)
     n = g.n
     adj = g.adj
     limit = k - 1
@@ -267,29 +266,50 @@ def _spanning_connected_subsets(g: Graph, block_mask: int) -> list[tuple[tuple[i
     """Edge subsets inside the block that connect all its vertices, ordered by
     (size, lexicographic edge tuple)."""
     verts = list(iter_bits(block_mask))
+    if len(verts) == 1:
+        return [()]
     inner = [
-        (u, v)
+        ((u, v), 1 << u | 1 << v)
         for i, u in enumerate(verts)
         for v in verts[i + 1 :]
         if g.adj[u] >> v & 1
     ]
-    if len(verts) == 1:
-        return [()]
     out = []
     for size in range(len(verts) - 1, len(inner) + 1):
         for combo in combinations(inner, size):
-            reach = 1 << verts[0]
-            changed = True
-            while changed:
-                changed = False
-                for u, v in combo:
-                    um, vm = 1 << u, 1 << v
-                    if bool(reach & um) != bool(reach & vm):
-                        reach |= um | vm
-                        changed = True
+            # grow the component of the lowest vertex by whole edge masks
+            reach = block_mask & -block_mask
+            grew = True
+            while grew:
+                grew = False
+                for _, ends in combo:
+                    if reach & ends and ends & ~reach:
+                        reach |= ends
+                        grew = True
             if reach == block_mask:
-                out.append(combo)
+                out.append(tuple(edge for edge, _ in combo))
     return out
+
+
+def _refinements(g: Graph, blocks: list[int]) -> list[tuple[tuple[int, int], ...]]:
+    """Blue edge sets of the colorings whose blue components are exactly the
+    blocks: one spanning connected subset per block, joined as a sorted tuple."""
+    per_block = [_spanning_connected_subsets(g, m) for m in blocks]
+    return [tuple(sorted(e for part in combo for e in part)) for combo in product(*per_block)]
+
+
+def _red_clique_free(g: Graph, blue: tuple[tuple[int, int], ...], t: int) -> bool:
+    """Does g minus the blue edges hold no clique on t vertices?
+
+    The red graph of make_coloring(g, blue) is exactly g minus blue, so this
+    answers `not has_clique(make_coloring(g, blue).red_graph(), t)` on int
+    adjacency rows, without building the coloring.
+    """
+    rows = list(g.adj)
+    for u, v in blue:
+        rows[u] &= ~(1 << v)
+        rows[v] &= ~(1 << u)
+    return not _clique_rec(rows, g.vertex_mask, t)
 
 
 def enumerate_critical_colorings(g: Graph, t: int, k: int, budget: SearchBudget | None = None) -> list[EdgeColoring]:
@@ -297,23 +317,19 @@ def enumerate_critical_colorings(g: Graph, t: int, k: int, budget: SearchBudget 
 
     The result is truncated at budget.enumeration_cap; running out of nodes or
     time before the space is exhausted raises instead, because a partial
-    answer to "list them all" is not an answer.
+    answer to "list them all" is not an answer.  Candidates are tested on int
+    rows (see _red_clique_free); an EdgeColoring is built only for each
+    coloring returned.
     """
     budget = budget or SearchBudget()
-    results: list[tuple[tuple, tuple, EdgeColoring]] = []
+    results: list[tuple[tuple, tuple]] = []
     cap = budget.enumeration_cap
 
     def on_partition(blocks: list[int]) -> bool:
         part_key = tuple(tuple(iter_bits(m)) for m in blocks)
-        per_block = [_spanning_connected_subsets(g, m) for m in blocks]
-        local = []
-        for combo in product(*per_block):
-            blue = tuple(sorted(e for part in combo for e in part))
-            c = make_coloring(g, blue)
-            if not has_clique(c.red_graph(), t):
-                local.append((part_key, blue, c))
-        local.sort(key=lambda item: item[1])
-        results.extend(local)
+        results.extend(
+            (part_key, blue) for blue in _refinements(g, blocks) if _red_clique_free(g, blue, t)
+        )
         return len(results) >= cap
 
     status, nodes, millis = _walk_partitions(g, t, k, budget, on_partition)
@@ -321,8 +337,8 @@ def enumerate_critical_colorings(g: Graph, t: int, k: int, budget: SearchBudget 
         raise IndeterminateResultError(
             f"enumeration incomplete after {nodes} nodes", nodes, millis
         )
-    results.sort(key=lambda item: (item[0], item[1]))
-    return [c for _, _, c in results[:cap]]
+    results.sort()
+    return [make_coloring(g, blue) for _, blue in results[:cap]]
 
 
 def max_red_critical_coloring(g: Graph, t: int, k: int, budget: SearchBudget | None = None) -> EdgeColoring:
@@ -330,7 +346,14 @@ def max_red_critical_coloring(g: Graph, t: int, k: int, budget: SearchBudget | N
 
     Minimizing blue is the same thing, and each block needs at least
     block-size - 1 blue edges to hold together, which gives the bound used to
-    prune partitions that cannot beat the best coloring found so far.
+    prune partitions that cannot beat the best coloring found so far.  Within
+    a partition the candidates are tried in (len(blue), blue) order; across
+    partitions the first one found in walk order wins a tie.
+
+    A candidate's red graph is g minus its blue edges, so _red_clique_free
+    tests g's adjacency rows with the blue bits cleared, which is the same
+    clique question as one asked of the coloring's red_graph().  Only the
+    answer is built as an EdgeColoring.
     """
     budget = budget or SearchBudget()
     best: dict = {"count": None, "blue": None}
@@ -344,17 +367,10 @@ def max_red_critical_coloring(g: Graph, t: int, k: int, budget: SearchBudget | N
     def on_partition(blocks: list[int]) -> bool:
         if best["count"] is not None and lower_bound(blocks) >= best["count"]:
             return False
-        per_block = [_spanning_connected_subsets(g, m) for m in blocks]
-        combos = []
-        for combo in product(*per_block):
-            blue = tuple(sorted(e for part in combo for e in part))
-            combos.append(blue)
-        combos.sort(key=lambda blue: (len(blue), blue))
-        for blue in combos:
+        for blue in sorted(_refinements(g, blocks), key=lambda blue: (len(blue), blue)):
             if best["count"] is not None and len(blue) >= best["count"]:
                 break
-            c = make_coloring(g, blue)
-            if not has_clique(c.red_graph(), t):
+            if _red_clique_free(g, blue, t):
                 best["count"] = len(blue)
                 best["blue"] = blue
                 break
@@ -388,8 +404,7 @@ def brute_force_critical_colorings(g: Graph, t: int, k: int) -> list[EdgeColorin
 
 
 def _brute_force_scan(g: Graph, t: int, k: int):
-    if t < 2 or k < 2:
-        raise ValueError("parameters must be at least 2")
+    check_parameters(t, k)
     edges = g.edges()
     e = len(edges)
     if e > BRUTE_FORCE_EDGE_CAP:

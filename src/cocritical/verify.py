@@ -26,6 +26,7 @@ from .coloring import (
     BlockPartition,
     EdgeColoring,
     blue_blocks,
+    check_parameters,
     cross_graph,
     is_critical,
 )
@@ -470,9 +471,7 @@ def min_cocritical_search(
     are reported and make the result incomplete.  Parameters are checked
     before any class is generated.
     """
-    for name, value in (("t", t), ("k", k)):
-        if value < 2:
-            raise ValueError(f"{name} must be at least 2, got {value}")
+    check_parameters(t, k)
     if not 1 <= n <= MIN_SEARCH_ORDER_CAP:
         raise ValueError(f"n must be between 1 and {MIN_SEARCH_ORDER_CAP}, got {n}")
     budget = budget or SearchBudget()

@@ -66,6 +66,8 @@ def test_verify_frozen_instance(capsys):
     assert res["verdict"] == "co-critical" and res["complete"]
     assert res["structure"]["all_passed"]
     assert res["coloring_structure_violations"] == []
+    timings = doc["timings"]
+    assert 0 <= timings["max_red_ms"] <= timings["checks_ms"]
 
 
 def test_verify_complete_graph_fails(capsys):
@@ -151,6 +153,19 @@ def test_minsearch_bad_parameter_names_it(capsys):
     code, out, err = run_cli(capsys, "minsearch", "--t", "1", "--k", "3", "--n", "7")
     assert code == 2 and out == ""
     assert "t must be at least 2" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("verify", "--complete", "4", "--t", "1", "--k", "3"), "t must be at least 2, got 1"),
+        (("arrows", "--complete", "4", "--t", "3", "--k", "1"), "k must be at least 2, got 1"),
+    ],
+)
+def test_bad_t_or_k_is_named(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert message in err
 
 
 def test_props(capsys, tmp_path):

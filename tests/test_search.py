@@ -5,9 +5,11 @@ import random
 
 import pytest
 
+from cocritical import search
 from cocritical.canon import nonisomorphic_graphs
-from cocritical.coloring import is_critical, partition_to_coloring
-from cocritical.graphs import complete_graph, is_connected_mask, bitmask, make_graph
+from cocritical.coloring import is_critical, make_coloring, partition_to_coloring
+from cocritical.construction import ConstructionParams, build
+from cocritical.graphs import complete_graph, has_clique, is_connected_mask, bitmask, make_graph
 from cocritical.search import (
     BUDGET_EXCEEDED,
     EXHAUSTED,
@@ -151,3 +153,62 @@ def test_parameter_validation():
         exists_critical_coloring(g, 1, 3)
     with pytest.raises(ValueError):
         exists_critical_coloring(g, 3, 1)
+
+
+def reference_red_clique_free(g, blue, t):
+    """Reference for search._red_clique_free: build the coloring and ask its
+    red graph."""
+    return not has_clique(make_coloring(g, blue).red_graph(), t)
+
+
+def refinement_answers():
+    """Max-red on every class up to 7 vertices, enumerate up to 6."""
+    answers = []
+    for n in range(1, 8):
+        for g in nonisomorphic_graphs(n):
+            for t, k in PAIRS:
+                try:
+                    answers.append(max_red_critical_coloring(g, t, k))
+                except NoCriticalColoringError:
+                    answers.append(None)
+                if n <= 6:
+                    answers.append(enumerate_critical_colorings(g, t, k))
+    return answers
+
+
+def test_row_candidate_test_matches_red_graph_oracle(monkeypatch):
+    fast = refinement_answers()
+    monkeypatch.setattr(search, "_red_clique_free", reference_red_clique_free)
+    assert refinement_answers() == fast
+
+
+FROZEN_MAX_RED_BLUE = {
+    (4, 3, 13): [(0, 1), (2, 9), (3, 10), (4, 11), (5, 12), (6, 7)],
+    (5, 3, 17): [(0, 1), (2, 11), (3, 12), (4, 13), (5, 14), (6, 15), (7, 16), (8, 9)],
+    (4, 4, 18): [
+        (0, 1), (0, 2), (1, 2), (3, 4), (3, 14), (4, 14), (5, 6), (5, 15), (6, 15),
+        (7, 8), (7, 16), (8, 16), (9, 10), (9, 17), (10, 17), (11, 12), (11, 13), (12, 13),
+    ],
+}
+
+
+@pytest.mark.parametrize("t, k, n", sorted(FROZEN_MAX_RED_BLUE))
+def test_max_red_on_frozen_instances_is_pinned(t, k, n):
+    tau = max_red_critical_coloring(build(ConstructionParams(t, k, n)), t, k)
+    assert sorted(tau.blue) == FROZEN_MAX_RED_BLUE[(t, k, n)]
+
+
+def test_colorings_are_built_only_for_answers(monkeypatch):
+    calls = []
+
+    def counting_make_coloring(g, blue):
+        calls.append(blue)
+        return make_coloring(g, blue)
+
+    monkeypatch.setattr(search, "make_coloring", counting_make_coloring)
+    max_red_critical_coloring(build(ConstructionParams(5, 3, 17)), 5, 3)
+    assert len(calls) == 1
+    for g, t, k in ((complete_graph(4), 3, 3), (complete_graph(5), 3, 4)):
+        calls.clear()
+        colorings = enumerate_critical_colorings(g, t, k)
+        assert colorings and len(calls) == len(colorings)
