@@ -40,7 +40,7 @@ if rep.failures:
 ##################################
 # Phase two: forced structure
 ##################################
-struct = saturation_structure_checks(g, args.t, args.k)
+struct = saturation_structure_checks(g, args.t, args.k, cocritical_report=rep)
 print(f"max-red coloring: {len(struct.coloring.red)} red edges, "
       f"{len(struct.coloring.blue)} blue edges")
 for name, item in struct.items.items():

@@ -85,10 +85,10 @@ def _budget(args) -> SearchBudget:
 
 
 def _parse_construct(text: str) -> ConstructionParams:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise ValueError("--construct expects T,K,N")
-    t, k, n = (int(p) for p in parts)
+    try:
+        t, k, n = (int(p) for p in text.split(","))
+    except ValueError:
+        raise ValueError(f"--construct expects three integers T,K,N, got {text!r}") from None
     return ConstructionParams(t, k, n)
 
 
@@ -118,7 +118,9 @@ def _load_graph(args) -> tuple[Graph, dict]:
         return complete_graph(args.complete), {"complete": args.complete}
     if src == "graph6":
         return parse_graph6(args.graph6), {"graph6": args.graph6}
-    with open(args.input, encoding="ascii") as fh:
+    # latin-1 maps every byte to one character, so parse_graph6 can report
+    # a non-graph6 byte by line and offset
+    with open(args.input, encoding="latin-1") as fh:
         text = fh.read()
     graphs = parse_graph6_lines(text)
     if len(graphs) != 1:
@@ -344,12 +346,7 @@ def _props_one(g: Graph, budget: SearchBudget) -> tuple[dict, bool, bool]:
     oracle: dict = {}
     if g.edge_count() <= ORACLE_EDGE_CAP:
         for t, k in ORACLE_PAIRS:
-            try:
-                walker = exists_critical_coloring(g, t, k, budget)
-            except IndeterminateResultError:
-                indeterminate = True
-                oracle[f"{t},{k}"] = None
-                continue
+            walker = exists_critical_coloring(g, t, k, budget)
             if walker.status not in (FOUND, EXHAUSTED):
                 indeterminate = True
                 oracle[f"{t},{k}"] = None
@@ -365,7 +362,7 @@ def _props_one(g: Graph, budget: SearchBudget) -> tuple[dict, bool, bool]:
 
 def cmd_props(args) -> int:
     t0 = time.perf_counter()
-    with open(args.corpus, encoding="ascii") as fh:
+    with open(args.corpus, encoding="latin-1") as fh:
         graphs = parse_graph6_lines(fh.read())
     parse_ms = (time.perf_counter() - t0) * 1000
     budget = _budget(args)

@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .graph6 import emit_graph6, parse_graph6
 from .graphs import Graph, bitmask, components, has_clique, iter_bits, make_graph
 
 Edge = tuple[int, int]
@@ -102,12 +101,6 @@ class BlockPartition:
             out |= b
         return frozenset(out)
 
-    def block_of(self, v: int) -> frozenset[int]:
-        for b in self.blocks:
-            if v in b:
-                return b
-        raise ValueError(f"vertex {v} not covered")
-
     def size_multiset(self) -> tuple[int, ...]:
         return tuple(sorted(len(b) for b in self.blocks))
 
@@ -162,34 +155,3 @@ def blue_blocks(c: EdgeColoring) -> BlockPartition:
     comps = components(c.blue_graph())
     return make_partition(comps)
 
-
-# --- serialization ----------------------------------------------------------
-
-
-def coloring_to_json(c: EdgeColoring) -> dict:
-    return {
-        "graph6": emit_graph6(c.base),
-        "red": [list(e) for e in sorted(c.red)],
-        "blue": [list(e) for e in sorted(c.blue)],
-    }
-
-
-def coloring_from_json(doc: dict) -> EdgeColoring:
-    try:
-        g = parse_graph6(doc["graph6"])
-        red = [tuple(e) for e in doc["red"]]
-        blue = [tuple(e) for e in doc["blue"]]
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed coloring document: {exc}") from None
-    c = make_coloring(g, blue)
-    if frozenset(normalize_edge(u, v) for u, v in red) != c.red:
-        raise ValueError("red edge list disagrees with graph minus blue")
-    return c
-
-
-def partition_to_json(p: BlockPartition) -> list[list[int]]:
-    return [sorted(b) for b in p.blocks]
-
-
-def partition_from_json(blocks: list[list[int]], max_block: int | None = None) -> BlockPartition:
-    return make_partition(blocks, max_block)

@@ -78,17 +78,6 @@ def block_edge_lower_bound(t: int, k: int, n: int) -> Fraction:
     return (Fraction(h, 2) - Fraction(1, 2)) * (n - (t - 1) * (h - 1))
 
 
-def bound_evaluators(t: int, k: int, n: int) -> dict:
-    return {
-        "ramsey_number": ramsey_number(t, k),
-        "lower_bound_slope": lower_bound_slope(t, k),
-        "upper_bound_offset": upper_bound_offset(t, k),
-        "upper_bound_edges": upper_bound_edges(t, k, n),
-        "block_edge_lower_bound": block_edge_lower_bound(t, k, n),
-        "turan_edges": turan_edges(ramsey_number(t, k) - 1, n),
-    }
-
-
 ANALYZED_CLIQUE_ORDERS = (4, 5)
 
 
@@ -160,24 +149,6 @@ class RoleLayout:
         for group in self.hubs + self.satellites + self.fillers:
             out.extend(group)
         return tuple(out)
-
-    def role_of(self, v: int) -> tuple:
-        if v in self.anchor:
-            return ("anchor",)
-        for i, group in enumerate(self.hubs):
-            if v in group:
-                return ("hub", i)
-        for i, group in enumerate(self.satellites):
-            if v in group:
-                return ("satellite", i)
-        for j, group in enumerate(self.fillers):
-            if v in group:
-                return ("filler", j)
-        if v in self.apexes:
-            return ("apex", self.apexes.index(v))
-        if v in self.near_apexes:
-            return ("near_apex", self.near_apexes.index(v))
-        raise ValueError(f"vertex {v} outside layout")
 
     def to_json(self) -> dict:
         return {

@@ -1,18 +1,15 @@
-"""graph6 and adjacency-list text serialization.
+"""graph6 serialization.
 
 graph6 is the compact ASCII format for undirected graphs: a length prefix
 followed by the upper triangle of the adjacency matrix read column by column
 (x01, x02, x12, x03, ...), packed big-endian into 6-bit groups, each group
 printed as its value plus 63.  This module implements the header-free variant
 and rejects malformed input with the byte offset of the problem.
-
-The adjacency-list text format is one integer line `n` followed by one `u v`
-line per edge.
 """
 
 from __future__ import annotations
 
-from .graphs import Graph, MAX_ORDER, make_graph
+from .graphs import Graph, MAX_ORDER
 
 
 def emit_graph6(g: Graph) -> str:
@@ -94,28 +91,3 @@ def parse_graph6_lines(text: str) -> list[Graph]:
             raise ValueError(f"line {number}: {exc}") from None
     return graphs
 
-
-def emit_adjacency_text(g: Graph) -> str:
-    lines = [str(g.n)]
-    lines.extend(f"{u} {v}" for u, v in g.edges())
-    return "\n".join(lines) + "\n"
-
-
-def parse_adjacency_text(text: str) -> Graph:
-    tokens = text.split()
-    if not tokens:
-        raise ValueError("empty adjacency text")
-    try:
-        n = int(tokens[0])
-    except ValueError:
-        raise ValueError(f"order line {tokens[0]!r} is not an integer") from None
-    rest = tokens[1:]
-    if len(rest) % 2:
-        raise ValueError("dangling endpoint at end of adjacency text")
-    edges = []
-    for i in range(0, len(rest), 2):
-        try:
-            edges.append((int(rest[i]), int(rest[i + 1])))
-        except ValueError:
-            raise ValueError(f"non-integer endpoint {rest[i]!r} {rest[i + 1]!r}") from None
-    return make_graph(n, edges)

@@ -77,10 +77,6 @@ class Graph:
         self._check_vertex(v)
         return self.adj[v].bit_count()
 
-    def neighbors(self, v: int) -> frozenset[int]:
-        self._check_vertex(v)
-        return frozenset(iter_bits(self.adj[v]))
-
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (u, v) with u < v, in lexicographic order."""
         out = []
@@ -187,15 +183,6 @@ def disjoint_union(a: Graph, b: Graph) -> Graph:
     return Graph(a.n + b.n, tuple(rows))
 
 
-def join(a: Graph, b: Graph) -> Graph:
-    """Disjoint union plus every edge between the two sides."""
-    g = disjoint_union(a, b)
-    a_mask = (1 << a.n) - 1
-    b_mask = g.vertex_mask ^ a_mask
-    rows = [row | (b_mask if v < a.n else a_mask) for v, row in enumerate(g.adj)]
-    return Graph(g.n, tuple(rows))
-
-
 def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
     """Subgraph induced on the given vertices, relabeled 0..m-1 in ascending order."""
     kept = sorted(set(vertices))
@@ -289,15 +276,6 @@ def has_clique(g: Graph, size: int) -> bool:
     return _clique_rec(g.adj, g.vertex_mask, size)
 
 
-def clique_through_edge(g: Graph, u: int, v: int, size: int) -> bool:
-    """Is edge uv contained in some clique on `size` vertices?"""
-    if size < 2:
-        raise ValueError("clique through an edge needs size >= 2")
-    if not g.has_edge(u, v):
-        raise ValueError(f"({u},{v}) is not an edge")
-    return _clique_rec(g.adj, g.adj[u] & g.adj[v], size - 2)
-
-
 def clique_number(g: Graph) -> int:
     """Order of a largest clique."""
     best = 0
@@ -355,15 +333,15 @@ def enumerate_cliques_in_mask(g: Graph, mask: int, size: int) -> list[frozenset[
 STABLE_SET_ORDER_CAP = 24
 
 
-def max_stable_sets(g: Graph, cap: int = STABLE_SET_ORDER_CAP) -> tuple[int, list[frozenset[int]]]:
+def max_stable_sets(g: Graph) -> tuple[int, list[frozenset[int]]]:
     """Independence number and the full family of maximum stable sets.
 
     Works through the complement: stable sets of g are cliques of its
     complement, so the family is every maximum clique over there.  Exhaustive;
     guarded to small orders.
     """
-    if g.n > cap:
-        raise ValueError(f"stable-set enumeration guarded to n <= {cap}")
+    if g.n > STABLE_SET_ORDER_CAP:
+        raise ValueError(f"stable-set enumeration guarded to n <= {STABLE_SET_ORDER_CAP}")
     if g.n == 0:
         raise ValueError("graph has no vertices")
     co = complement(g)

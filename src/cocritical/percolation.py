@@ -44,7 +44,7 @@ class PercolationError(RuntimeError):
 
 def closure(g: Graph, seeds: frozenset[int], q: int) -> frozenset[int]:
     """Seeds plus everything that activates at threshold q."""
-    active, _, _ = _close(g.adj, g.n, bitmask(seeds), q)
+    active, _ = _close(g.adj, g.n, bitmask(seeds), q)
     return frozenset(iter_bits(active))
 
 
@@ -54,7 +54,6 @@ def _close(adj, n: int, seed_mask: int, q: int):
     inside the final closure, so their total is a certified lower bound on
     e(closure) of q per activated vertex."""
     active = seed_mask
-    rounds: list[int] = []
     activation_edges = 0
     while True:
         newly = 0
@@ -68,10 +67,9 @@ def _close(adj, n: int, seed_mask: int, q: int):
                 gained += d
         if not newly:
             break
-        rounds.append(newly)
         active |= newly
         activation_edges += gained
-    return active, tuple(rounds), activation_edges
+    return active, activation_edges
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,7 +80,6 @@ class PercolationState:
     iteration: int
     seeds: frozenset[int]
     closure: frozenset[int]
-    rounds: tuple[tuple[int, ...], ...]
     activation_edges: int
     exterior: frozenset[int]
     bad: frozenset[int]
@@ -130,7 +127,7 @@ def make_state(
     adj = g.adj
     n = g.n
     seed_mask = bitmask(seeds)
-    closure_mask, rounds, activation_edges = _close(adj, n, seed_mask, q)
+    closure_mask, activation_edges = _close(adj, n, seed_mask, q)
     ext_mask = g.vertex_mask & ~closure_mask
     weight_of = {
         v: Fraction((adj[v] & closure_mask).bit_count())
@@ -161,7 +158,6 @@ def make_state(
         iteration,
         frozenset(seeds),
         frozenset(iter_bits(closure_mask)),
-        tuple(tuple(sorted(iter_bits(r))) for r in rounds),
         activation_edges,
         frozenset(iter_bits(ext_mask)),
         bad,

@@ -50,7 +50,7 @@ BUDGET_EXCEEDED = "budget_exceeded"
 
 DEFAULT_NODE_CAP = 10**8
 DEFAULT_TIME_CAP = 600.0
-DEFAULT_ENUMERATION_CAP = 10**6
+ENUMERATION_CAP = 10**6
 BRUTE_FORCE_EDGE_CAP = 20
 
 
@@ -71,12 +71,12 @@ class NoCriticalColoringError(ValueError):
 class SearchBudget:
     node_cap: int = DEFAULT_NODE_CAP
     time_cap: float = DEFAULT_TIME_CAP
-    enumeration_cap: int = DEFAULT_ENUMERATION_CAP
 
     def __post_init__(self) -> None:
-        # written as "not > 0" so that a NaN cap is rejected too
-        if not (self.node_cap > 0 and self.time_cap > 0 and self.enumeration_cap > 0):
-            raise ValueError("budget caps must be positive")
+        for name, value in (("node_cap", self.node_cap), ("time_cap", self.time_cap)):
+            # written as "not > 0" so that a NaN cap is rejected too
+            if not value > 0:
+                raise ValueError(f"{name} must be positive, got {value}")
 
 
 @dataclass(frozen=True)
@@ -89,18 +89,6 @@ class SearchOutcome:
     def __post_init__(self) -> None:
         if (self.status == FOUND) != (self.witness is not None):
             raise ValueError("witness must accompany exactly the found status")
-
-
-def outcome_to_json(outcome: SearchOutcome) -> dict:
-    doc: dict = {
-        "status": outcome.status,
-        "blocks": None,
-        "nodes": outcome.nodes,
-        "millis": round(outcome.millis, 3),
-    }
-    if outcome.witness is not None:
-        doc["blocks"] = [sorted(b) for b in outcome.witness.blocks]
-    return doc
 
 
 class _BudgetHit(Exception):
@@ -315,7 +303,7 @@ def _red_clique_free(g: Graph, blue: tuple[tuple[int, int], ...], t: int) -> boo
 def enumerate_critical_colorings(g: Graph, t: int, k: int, budget: SearchBudget | None = None) -> list[EdgeColoring]:
     """All good colorings, ordered by partition then blue edge set.
 
-    The result is truncated at budget.enumeration_cap; running out of nodes or
+    The result is truncated at ENUMERATION_CAP; running out of nodes or
     time before the space is exhausted raises instead, because a partial
     answer to "list them all" is not an answer.  Candidates are tested on int
     rows (see _red_clique_free); an EdgeColoring is built only for each
@@ -323,14 +311,13 @@ def enumerate_critical_colorings(g: Graph, t: int, k: int, budget: SearchBudget 
     """
     budget = budget or SearchBudget()
     results: list[tuple[tuple, tuple]] = []
-    cap = budget.enumeration_cap
 
     def on_partition(blocks: list[int]) -> bool:
         part_key = tuple(tuple(iter_bits(m)) for m in blocks)
         results.extend(
             (part_key, blue) for blue in _refinements(g, blocks) if _red_clique_free(g, blue, t)
         )
-        return len(results) >= cap
+        return len(results) >= ENUMERATION_CAP
 
     status, nodes, millis = _walk_partitions(g, t, k, budget, on_partition)
     if status == BUDGET_EXCEEDED:
@@ -338,7 +325,7 @@ def enumerate_critical_colorings(g: Graph, t: int, k: int, budget: SearchBudget 
             f"enumeration incomplete after {nodes} nodes", nodes, millis
         )
     results.sort()
-    return [make_coloring(g, blue) for _, blue in results[:cap]]
+    return [make_coloring(g, blue) for _, blue in results[:ENUMERATION_CAP]]
 
 
 def max_red_critical_coloring(g: Graph, t: int, k: int, budget: SearchBudget | None = None) -> EdgeColoring:

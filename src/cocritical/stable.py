@@ -8,22 +8,14 @@ family pins down a large common core.  Both are checked here on explicit,
 exhaustively enumerated families; nothing is sampled.
 
 The clique core is the mirror notion: the vertices common to every clique of
-a given order.  When that order is the clique number it is also computable
-through stable sets of the complement, and the two routes are kept separate
-so they can be tested against each other.
+a given order, found by enumerating those cliques directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import (
-    Graph,
-    clique_number,
-    complement,
-    enumerate_cliques,
-    max_stable_sets,
-)
+from .graphs import Graph, enumerate_cliques, max_stable_sets
 
 
 @dataclass(frozen=True)
@@ -99,18 +91,12 @@ def stable_intersection_check(g: Graph) -> StableIntersectionResult:
 def clique_core(g: Graph, size: int) -> frozenset[int]:
     """Vertices common to every clique on `size` vertices.
 
-    At the clique number the family is recovered from maximum stable sets of
-    the complement; below it, by direct enumeration.  A size with no cliques
-    at all is an error: the core of nothing is not a meaningful set.
+    A size with no cliques at all is an error: the core of nothing is not a
+    meaningful set.
     """
-    if size < 1:
-        raise ValueError("clique size must be at least 1")
-    if size == clique_number(g):
-        _, family = max_stable_sets(complement(g))
-    else:
-        family = enumerate_cliques(g, size)
-        if not family:
-            raise ValueError(f"graph has no clique on {size} vertices")
+    family = enumerate_cliques(g, size)
+    if not family:
+        raise ValueError(f"graph has no clique on {size} vertices")
     core = frozenset(range(g.n))
     for s in family:
         core &= s

@@ -211,7 +211,41 @@ def test_nan_time_cap_is_a_usage_error(capsys):
         capsys, "verify", "--complete", "4", "--t", "3", "--k", "3", "--time-cap", "nan"
     )
     assert code == 2 and out == ""
-    assert "budget caps must be positive" in err
+    assert "time_cap must be positive, got nan" in err
+
+
+@pytest.mark.parametrize(
+    "option, value, message",
+    [
+        ("--node-cap", "0", "node_cap must be positive, got 0"),
+        ("--time-cap", "-1", "time_cap must be positive, got -1.0"),
+    ],
+)
+def test_nonpositive_budget_names_the_field(capsys, option, value, message):
+    code, out, err = run_cli(
+        capsys, "verify", "--complete", "4", "--t", "3", "--k", "3", option, value
+    )
+    assert code == 2 and out == ""
+    assert message in err
+
+
+def test_bad_construct_names_the_option(capsys):
+    code, out, err = run_cli(capsys, "verify", "--construct", "4,x,13", "--t", "4", "--k", "3")
+    assert code == 2 and out == ""
+    assert "--construct" in err and "'4,x,13'" in err
+
+
+@pytest.mark.parametrize("command", ["props", "verify"])
+def test_non_ascii_byte_is_located(capsys, tmp_path, command):
+    path = tmp_path / "bad.g6"
+    path.write_bytes(b"C~\nD\xffN\n")
+    if command == "props":
+        argv = ["props", "--corpus", str(path)]
+    else:
+        argv = ["verify", "--input", str(path), "--t", "3", "--k", "3"]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "line 2: byte 1:" in err
 
 
 def test_negative_complete_order(capsys):

@@ -8,16 +8,12 @@ from cocritical.coloring import (
     BlockPartition,
     EdgeColoring,
     blue_blocks,
-    coloring_from_json,
-    coloring_to_json,
     cross_graph,
     is_critical,
     make_coloring,
     make_partition,
     normalize_edge,
-    partition_from_json,
     partition_to_coloring,
-    partition_to_json,
 )
 from cocritical.graphs import complete_graph, cycle_graph, make_graph
 
@@ -129,17 +125,3 @@ def test_blue_blocks_of_random_critical_colorings():
         assert all(len(b) <= 2 for b in p.blocks)
         assert partition_to_coloring(g, p) == c
 
-
-def test_coloring_json_roundtrip():
-    g = complete_graph(4)
-    c = make_coloring(g, [(0, 1), (2, 3)])
-    assert coloring_from_json(coloring_to_json(c)) == c
-    bad = coloring_to_json(c)
-    bad["red"], bad["blue"] = bad["blue"], bad["red"][:1]
-    with pytest.raises(ValueError):
-        coloring_from_json(bad)
-
-
-def test_partition_json_roundtrip():
-    p = BlockPartition((frozenset({0, 1}), frozenset({2})), 2)
-    assert partition_from_json(partition_to_json(p)) == p

@@ -82,8 +82,6 @@ def test_layout_partitions_vertex_ids():
         assert len(lay.satellites) == t - 2 and all(len(s) == k - 2 for s in lay.satellites)
         assert len(lay.apexes) == t - 2 and len(lay.near_apexes) == t - 2
         assert all(len(f) <= (k + 1) // 2 + 1 for f in lay.fillers)
-        roles = [lay.role_of(v) for v in range(p.n)]
-        assert len(roles) == p.n  # every id covered, none outside
         base = lay.base_vertices()
         assert sorted(base + lay.apexes + lay.near_apexes) == list(range(p.n))
 

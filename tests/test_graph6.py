@@ -7,9 +7,7 @@ import pytest
 
 from cocritical.graphs import complete_graph, cycle_graph, empty_graph, make_graph
 from cocritical.graph6 import (
-    emit_adjacency_text,
     emit_graph6,
-    parse_adjacency_text,
     parse_graph6,
     parse_graph6_lines,
 )
@@ -104,9 +102,3 @@ def test_parse_lines():
     graphs = parse_graph6_lines(lines)
     assert graphs == [complete_graph(3), cycle_graph(4)]
 
-
-def test_adjacency_text_roundtrip():
-    rng = random.Random(61)
-    for _ in range(30):
-        g = rand_graph(rng, rng.randrange(0, 10))
-        assert parse_adjacency_text(emit_adjacency_text(g)) == g

@@ -11,7 +11,6 @@ from cocritical.graphs import (
     add_edge,
     bitmask,
     clique_number,
-    clique_through_edge,
     complement,
     complete_graph,
     components,
@@ -24,7 +23,6 @@ from cocritical.graphs import (
     induced_subgraph,
     is_connected_mask,
     iter_bits,
-    join,
     make_graph,
     max_stable_sets,
     path_graph,
@@ -57,7 +55,6 @@ def test_basic_queries():
     assert not g.has_edge(0, 2)
     assert g.edges() == [(0, 1), (0, 4), (1, 2), (2, 3), (3, 4)]
     assert g.non_edges() == [(0, 2), (0, 3), (1, 3), (1, 4), (2, 4)]
-    assert sorted(g.neighbors(0)) == [1, 4]
 
 
 def test_known_graphs():
@@ -89,8 +86,6 @@ def test_disjoint_union_and_join():
     u = disjoint_union(a, b)
     assert u.n == 5 and u.edge_count() == 4
     assert sorted(map(len, components(u))) == [2, 3]
-    j = join(a, b)
-    assert j == complete_graph(5)
 
 
 def test_components_and_connectivity():
@@ -136,10 +131,6 @@ def test_clique_routines_against_brute_force():
             want = brute_cliques(g, size)
             assert has_clique(g, size) == bool(want)
             assert sorted(enumerate_cliques(g, size)) == sorted(want)
-        for u, v in g.edges():
-            for size in range(2, n + 1):
-                expect = any({u, v} <= c for c in brute_cliques(g, size))
-                assert clique_through_edge(g, u, v, size) == expect
 
 
 def test_enumerate_cliques_in_mask():

@@ -1,5 +1,5 @@
-"""Maximum stable set family facts and the clique core, with both clique-core
-routes cross-checked on every small graph."""
+"""Maximum stable set family facts and the clique core, with the clique core
+cross-checked against brute force on every small graph."""
 
 import random
 from itertools import combinations
@@ -105,6 +105,12 @@ def test_clique_core_examples():
         clique_core(path_graph(3), 0)
 
 
+def test_clique_core_is_not_bound_by_the_stable_set_cap():
+    # cliques are enumerated in g itself, so the n <= 24 guard of the
+    # stable-set family does not apply
+    assert clique_core(complete_graph(30), 30) == frozenset(range(30))
+
+
 def brute_core(g, size):
     found = [
         frozenset(c)
@@ -118,8 +124,8 @@ def brute_core(g, size):
 
 
 def test_clique_core_routes_agree():
-    # the stable-set route (at the clique number) and direct enumeration must
-    # give the same core on every graph with up to 6 vertices
+    # enumeration agrees with brute force at the clique number and at every
+    # size below it, on every graph with up to 6 vertices
     for n in range(1, 7):
         for g in nonisomorphic_graphs(n):
             omega = clique_number(g)
@@ -129,7 +135,6 @@ def test_clique_core_routes_agree():
             expect, found = brute_core(g, omega)
             assert found
             assert via_module == expect
-            # route below the clique number: direct enumeration
             for size in range(1, omega):
                 assert clique_core(g, size) == brute_core(g, size)[0]
 
