@@ -2,9 +2,10 @@
 
 Two phases.  Phase one proves the graph itself admits a good coloring but
 no single-edge extension does, in one walk over the graph's good partitions
-that tests every non-edge at each leaf.  Phase two takes the coloring that
-maximizes red and checks the degree, clique, and edge-count consequences that
-saturation forces.
+that tests every non-edge at each leaf; the same walk keeps the coloring
+that maximizes red.  Phase two reads that coloring off the report, without
+walking again, and checks the degree, clique, and edge-count consequences
+that saturation forces.
 """
 
 import argparse

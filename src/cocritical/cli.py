@@ -180,16 +180,12 @@ def cmd_verify(args) -> int:
     verify_ms = (time.perf_counter() - t0) * 1000
     results = report.to_json()
     results["graph6"] = emit_graph6(g)
-    checks_ms = max_red_ms = 0.0
+    checks_ms = 0.0
     if args.checks and report.verdict() == CO_CRITICAL:
         t0 = time.perf_counter()
-        tau = max_red_critical_coloring(g, args.t, args.k, budget)
-        max_red_ms = (time.perf_counter() - t0) * 1000
-        structure = saturation_structure_checks(
-            g, args.t, args.k, budget, cocritical_report=report, coloring=tau
-        )
+        structure = saturation_structure_checks(g, args.t, args.k, cocritical_report=report)
         results["coloring_structure_violations"] = check_critical_structure(
-            g, tau, args.t, args.k
+            g, report.coloring, args.t, args.k
         )
         results["structure"] = structure.to_json()
         checks_ms = (time.perf_counter() - t0) * 1000
@@ -197,12 +193,7 @@ def cmd_verify(args) -> int:
         "verify",
         {**source, "t": args.t, "k": args.k, "checks": args.checks},
         results,
-        {
-            "parse_ms": parse_ms,
-            "verify_ms": verify_ms,
-            "checks_ms": checks_ms,
-            "max_red_ms": max_red_ms,
-        },
+        {"parse_ms": parse_ms, "verify_ms": verify_ms, "checks_ms": checks_ms},
     )
     verdict = report.verdict()
     _say(f"verdict: {verdict}")

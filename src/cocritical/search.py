@@ -300,6 +300,25 @@ def _red_clique_free(g: Graph, blue: tuple[tuple[int, int], ...], t: int) -> boo
     return not _clique_rec(rows, g.vertex_mask, t)
 
 
+def _fewer_blue(
+    g: Graph, t: int, blocks: list[int], count: int | None
+) -> tuple[tuple[int, int], ...] | None:
+    """The first refinement of a leaf, in (len(blue), blue) order, with fewer
+    than count blue edges (no limit when None) and no red K_t, else None.
+
+    A block needs |B| - 1 blue edges to hold together and a leaf's blocks
+    cover all n vertices, so every refinement has at least n - len(blocks).
+    """
+    if count is not None and g.n - len(blocks) >= count:
+        return None
+    for blue in sorted(_refinements(g, blocks), key=lambda blue: (len(blue), blue)):
+        if count is not None and len(blue) >= count:
+            return None
+        if _red_clique_free(g, blue, t):
+            return blue
+    return None
+
+
 def enumerate_critical_colorings(g: Graph, t: int, k: int, budget: SearchBudget | None = None) -> list[EdgeColoring]:
     """All good colorings, ordered by partition then blue edge set.
 
@@ -333,9 +352,10 @@ def max_red_critical_coloring(g: Graph, t: int, k: int, budget: SearchBudget | N
 
     Minimizing blue is the same thing, and each block needs at least
     block-size - 1 blue edges to hold together, which gives the bound used to
-    prune partitions that cannot beat the best coloring found so far.  Within
-    a partition the candidates are tried in (len(blue), blue) order; across
-    partitions the first one found in walk order wins a tie.
+    prune partial partitions that cannot beat the best coloring found so far.
+    Each leaf goes to _fewer_blue, which tries its candidates in
+    (len(blue), blue) order; across partitions the first one found in walk
+    order wins a tie.
 
     A candidate's red graph is g minus its blue edges, so _red_clique_free
     tests g's adjacency rows with the blue bits cleared, which is the same
@@ -345,22 +365,14 @@ def max_red_critical_coloring(g: Graph, t: int, k: int, budget: SearchBudget | N
     budget = budget or SearchBudget()
     best: dict = {"count": None, "blue": None}
 
-    def lower_bound(blocks: list[int]) -> int:
-        return sum(m.bit_count() - 1 for m in blocks)
-
     def on_block(blocks: list[int]) -> bool:
-        return best["count"] is None or lower_bound(blocks) < best["count"]
+        return best["count"] is None or sum(m.bit_count() - 1 for m in blocks) < best["count"]
 
     def on_partition(blocks: list[int]) -> bool:
-        if best["count"] is not None and lower_bound(blocks) >= best["count"]:
-            return False
-        for blue in sorted(_refinements(g, blocks), key=lambda blue: (len(blue), blue)):
-            if best["count"] is not None and len(blue) >= best["count"]:
-                break
-            if _red_clique_free(g, blue, t):
-                best["count"] = len(blue)
-                best["blue"] = blue
-                break
+        blue = _fewer_blue(g, t, blocks, best["count"])
+        if blue is not None:
+            best["count"] = len(blue)
+            best["blue"] = blue
         return False
 
     status, nodes, millis = _walk_partitions(g, t, k, budget, on_partition, on_block)

@@ -6,9 +6,11 @@ after any single edge addition: no supergraph g+e has one.  Every good
 coloring of g+e restricts to one of g, so the verifier walks the good
 partitions of g once and asks at each leaf which non-edges it would let
 back in.  It keeps the three possible answers apart: co-critical,
-demonstrably not, or indeterminate because the budget ran out.
+demonstrably not, or indeterminate because the budget ran out.  The same
+walk keeps the maximum-red good coloring, which a co-critical report carries.
 
-The structural checks translate what must hold for verified co-critical
+The structural checks read that coloring off the report, so they walk
+nothing again.  They translate what must hold for verified co-critical
 graphs under a maximum-red coloring into executable form: degree windows on
 the red side, cliques in common cross-neighborhoods behind every missing
 cross edge, forced block sizes next to singleton blocks, a clean minimum-
@@ -18,7 +20,7 @@ within-block edges, and connectivity of the cross graph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .canon import nonisomorphic_graphs
@@ -29,6 +31,7 @@ from .coloring import (
     check_parameters,
     cross_graph,
     is_critical,
+    make_coloring,
 )
 from .construction import block_edge_lower_bound
 from .graphs import (
@@ -50,8 +53,8 @@ from .search import (
     SearchBudget,
     _assert_witness,
     _blocks_to_partition,
+    _fewer_blue,
     _walk_partitions,
-    max_red_critical_coloring,
 )
 from .stable import clique_core
 
@@ -75,6 +78,7 @@ class CocriticalReport:
     failures: tuple[tuple[Edge, str], ...]
     per_edge_stats: tuple[tuple[Edge, int, float], ...]
     complete: bool
+    coloring: EdgeColoring | None = None  # max-red, kept only when co-critical
 
     @property
     def is_cocritical(self) -> bool:
@@ -148,6 +152,15 @@ def is_cocritical(
     non-edge, in g.non_edges() order, each carrying the walk's totals; under
     fail_fast a stopped walk checks only the first non-edge its last leaf
     settled (report marked incomplete when others remain).
+
+    Without fail_fast, every leaf also goes to search._fewer_blue until a
+    non-edge is settled, and a co-critical report (nothing settled, walk
+    exhausted) carries the max-red coloring that max_red_critical_coloring
+    returns.  That search's on_block prunes only subtrees whose partial bound
+    is already at least the best count, and every leaf below one would fail
+    _fewer_blue's first test.  So both walks make the same improvements in
+    the same order, with the same tie-break.  A fail_fast walk may stop at
+    any settling leaf, so it keeps no coloring.
     """
     budget = budget or SearchBudget()
     n, adj, limit, need = g.n, g.adj, k - 1, t - 2
@@ -155,6 +168,7 @@ def is_cocritical(
     open_edges = list(non_edges)
     first: list[int] = []  # block masks of the first leaf: the base witness
     settled: dict[Edge, list[int]] = {}  # non-edge -> good partition of g+uv
+    best: list = []  # blue edges of the max-red refinement so far
 
     def on_partition(blocks: list[int]) -> bool:
         leaf = list(blocks)  # the walker reuses its list
@@ -177,6 +191,10 @@ def is_cocritical(
                 still_open.append((u, v))
         settled_here = len(still_open) < len(open_edges)
         open_edges[:] = still_open
+        if not (fail_fast or settled):
+            blue = _fewer_blue(g, t, blocks, len(best[0]) if best else None)
+            if blue is not None:
+                best[:] = [blue]
         return not open_edges or (fail_fast and settled_here)
 
     status, nodes, millis = _walk_partitions(g, t, k, budget, on_partition)
@@ -195,7 +213,7 @@ def is_cocritical(
             failures.append((e, STILL_COLORABLE))
         elif status == BUDGET_EXCEEDED:
             failures.append((e, BUDGET))
-    return CocriticalReport(
+    report = CocriticalReport(
         t,
         k,
         len(non_edges),
@@ -205,6 +223,11 @@ def is_cocritical(
         tuple((e, nodes, millis) for e in checked),
         len(checked) == len(non_edges),
     )
+    if fail_fast or not report.is_cocritical:
+        return report
+    coloring = make_coloring(g, best[0])
+    assert is_critical(coloring, t, k)
+    return replace(report, coloring=coloring)
 
 
 # --- structure of good colorings on co-critical graphs ----------------------
@@ -282,28 +305,28 @@ class StructureReport:
 
 
 def saturation_structure_checks(
-    g: Graph,
-    t: int,
-    k: int,
-    budget: SearchBudget | None = None,
-    cocritical_report: CocriticalReport | None = None,
-    coloring: EdgeColoring | None = None,
+    g: Graph, t: int, k: int, cocritical_report: CocriticalReport | None = None
 ) -> StructureReport:
     """Evaluate the structural facts that hold for verified co-critical graphs.
 
-    Refuses to run unless the graph is verified co-critical (pass a report to
-    skip re-verification).  The checks run against a maximum-red good coloring
-    and its cross graph; conditional items report applicable=False when their
+    Refuses to run unless the graph is verified co-critical for (t, k) (pass
+    a report from is_cocritical without fail_fast to skip re-verification).
+    The checks run against the report's maximum-red good coloring and its
+    cross graph; conditional items report applicable=False when their
     hypotheses are not met.
     """
-    budget = budget or SearchBudget()
-    if cocritical_report is None:
-        cocritical_report = is_cocritical(g, t, k, budget)
-    if cocritical_report.verdict() != CO_CRITICAL:
+    report = cocritical_report or is_cocritical(g, t, k)
+    if (report.t, report.k) != (t, k):
         raise ValueError(
-            f"structure checks need a verified co-critical graph, got {cocritical_report.verdict()}"
+            f"report is for (t, k) = ({report.t}, {report.k}), checks asked for ({t}, {k})"
         )
-    tau = coloring or max_red_critical_coloring(g, t, k, budget)
+    if report.verdict() != CO_CRITICAL:
+        raise ValueError(
+            f"structure checks need a verified co-critical graph, got {report.verdict()}"
+        )
+    tau = report.coloring
+    if tau is None or tau.base != g:
+        raise ValueError("report carries no max-red coloring of this graph (fail_fast keeps none)")
     blocks = blue_blocks(tau)
     H = cross_graph(g, blocks)
     n = g.n

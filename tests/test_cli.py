@@ -67,7 +67,7 @@ def test_verify_frozen_instance(capsys):
     assert res["structure"]["all_passed"]
     assert res["coloring_structure_violations"] == []
     timings = doc["timings"]
-    assert 0 <= timings["max_red_ms"] <= timings["checks_ms"]
+    assert set(timings) == {"parse_ms", "verify_ms", "checks_ms"}
 
 
 def test_verify_complete_graph_fails(capsys):

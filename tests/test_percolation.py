@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from cocritical.coloring import BlockPartition, blue_blocks, cross_graph, make_partition
+from cocritical.coloring import BlockPartition, blue_blocks, cross_graph
 from cocritical.construction import ConstructionParams, blueprint_coloring, build
 from cocritical.graphs import complete_graph, cycle_graph, make_graph
 from cocritical.percolation import (

@@ -2,14 +2,21 @@
 exhaustive minimum search."""
 
 import pytest
+from test_search import FROZEN_MAX_RED_BLUE
 
-from cocritical import verify
+from cocritical import cli, search, verify
 from cocritical.canon import nonisomorphic_graphs
 from cocritical.coloring import make_coloring
 from cocritical.construction import ConstructionParams, blueprint_coloring, build
 from cocritical.graphs import add_edge, complete_graph, cycle_graph, empty_graph, path_graph
 from cocritical.graph6 import emit_graph6, parse_graph6
-from cocritical.search import FOUND, SearchBudget, _walk_partitions, exists_critical_coloring
+from cocritical.search import (
+    FOUND,
+    SearchBudget,
+    _walk_partitions,
+    exists_critical_coloring,
+    max_red_critical_coloring,
+)
 from cocritical.verify import (
     BUDGET,
     CO_CRITICAL,
@@ -81,6 +88,67 @@ def test_one_walk_per_call(monkeypatch):
         calls.clear()
         is_cocritical(g, t, k)
         assert calls == [(t, k)]
+
+
+def test_folded_max_red_matches_standalone():
+    # the co-criticality walk keeps the max-red coloring; on every co-critical
+    # case it must be the standalone search's answer, tie-break included
+    mismatches = []
+    cocritical_cases = 0
+    for n in range(2, 8):
+        for g in nonisomorphic_graphs(n):
+            if not g.non_edges():
+                continue
+            for t, k in ((2, 3), (3, 3), (3, 4), (4, 3), (3, 5)):
+                report = is_cocritical(g, t, k)
+                if not report.is_cocritical:
+                    if report.coloring is not None:
+                        mismatches.append((emit_graph6(g), t, k, "coloring on a non-co-critical report"))
+                    continue
+                cocritical_cases += 1
+                if report.coloring != max_red_critical_coloring(g, t, k):
+                    mismatches.append((emit_graph6(g), t, k, "differs from max_red_critical_coloring"))
+    assert cocritical_cases == 18
+    assert mismatches == []
+
+
+@pytest.mark.parametrize("t, k, n", sorted(FROZEN_MAX_RED_BLUE))
+def test_folded_max_red_on_frozen_instances(t, k, n):
+    report = is_cocritical(build(ConstructionParams(t, k, n)), t, k)
+    assert report.is_cocritical
+    assert sorted(report.coloring.blue) == FROZEN_MAX_RED_BLUE[(t, k, n)]
+
+
+def test_coloring_only_on_full_cocritical_reports():
+    g = build(ConstructionParams(4, 3, 13))
+    assert is_cocritical(g, 4, 3).coloring is not None
+    fast = is_cocritical(g, 4, 3, fail_fast=True)
+    assert fast.is_cocritical and fast.coloring is None
+    others = (
+        is_cocritical(cycle_graph(5), 3, 3),
+        is_cocritical(cycle_graph(5), 3, 3, fail_fast=True),
+        is_cocritical(complete_graph(4), 3, 3),
+        is_cocritical(complete_graph(5), 3, 3),
+        is_cocritical(g, 4, 3, SearchBudget(node_cap=10)),
+        is_cocritical(build(ConstructionParams(4, 4, 18)), 4, 4, SearchBudget(node_cap=20000)),
+    )
+    for report in others:
+        assert not report.is_cocritical and report.coloring is None
+
+
+def test_verify_checks_walk_the_graph_once(monkeypatch, capsys):
+    calls = []
+
+    def counting_walk(*args, **kwargs):
+        calls.append(args[1:3])
+        return _walk_partitions(*args, **kwargs)
+
+    monkeypatch.setattr(search, "_walk_partitions", counting_walk)
+    monkeypatch.setattr(verify, "_walk_partitions", counting_walk)
+    argv = ["verify", "--construct", "4,4,18", "--t", "4", "--k", "4", "--checks"]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert calls == [(4, 4)]
 
 
 def test_complete_graph_is_never_cocritical():
@@ -179,6 +247,23 @@ def test_check_critical_structure_input_validation():
 def test_saturation_checks_refuse_unverified_graphs():
     with pytest.raises(ValueError):
         saturation_structure_checks(cycle_graph(5), 3, 3)
+
+
+def test_saturation_checks_refuse_a_report_for_other_parameters():
+    g = build(ConstructionParams(4, 3, 13))
+    report = is_cocritical(g, 4, 3)
+    with pytest.raises(ValueError, match=r"\(4, 3\).*\(4, 4\)"):
+        saturation_structure_checks(g, 4, 4, cocritical_report=report)
+
+
+def test_saturation_checks_need_the_reports_coloring():
+    g = build(ConstructionParams(4, 3, 13))
+    fast = is_cocritical(g, 4, 3, fail_fast=True)
+    with pytest.raises(ValueError, match="no max-red coloring"):
+        saturation_structure_checks(g, 4, 3, cocritical_report=fast)
+    other = is_cocritical(parse_graph6("DN{"), 3, 3)
+    with pytest.raises(ValueError, match="no max-red coloring"):
+        saturation_structure_checks(cycle_graph(5), 3, 3, cocritical_report=other)
 
 
 def test_saturation_checks_on_frozen_instance():
