@@ -229,6 +229,38 @@ def components(g: Graph) -> list[frozenset[int]]:
     return out
 
 
+def twin_classes(g: Graph) -> list[frozenset[int]]:
+    """Classes of interchangeable vertices, ordered by smallest member.
+
+    Closed twins have N[u] = N[w] (so they are adjacent), open twins have
+    N(u) = N(w) (so they are not); both relations are equivalences.  A vertex
+    cannot sit in a non-trivial class of both kinds: with u, w closed twins
+    and u, x open twins, w lies in N(u) = N(x), so x lies in N[w] = N[u]
+    and x ~ u, which open twins never are.  Each vertex's class is therefore
+    its closed class when that is non-trivial, else its open class (possibly
+    a singleton).  Any permutation inside one class is an automorphism of g.
+    """
+    return [frozenset(iter_bits(m)) for v, m in enumerate(twin_masks(g)) if m & -m == 1 << v]
+
+
+def twin_masks(g: Graph) -> list[int]:
+    """Per vertex, the mask of its twin class (see twin_classes)."""
+    closed: dict[int, int] = {}
+    opened: dict[int, int] = {}
+    bit = 1
+    for row in g.adj:
+        closed[row | bit] = closed.get(row | bit, 0) | bit
+        opened[row] = opened.get(row, 0) | bit
+        bit <<= 1
+    out = []
+    bit = 1
+    for row in g.adj:
+        mask = closed[row | bit]
+        out.append(opened[row] if mask == bit else mask)
+        bit <<= 1
+    return out
+
+
 def is_connected_mask(g: Graph, mask: int) -> bool:
     """Does the subgraph induced on the vertices of mask form one component?"""
     if mask == 0:

@@ -95,7 +95,9 @@ class _BudgetHit(Exception):
     pass
 
 
-def _walk_partitions(g: Graph, t: int, k: int, budget: SearchBudget, on_partition, on_block=None):
+def _walk_partitions(
+    g: Graph, t: int, k: int, budget: SearchBudget, on_partition, on_block=None, lower_twins=None
+):
     """Visit every connected-block partition with a clique-free cross graph.
 
     on_partition(blocks) gets the list of block masks of each complete
@@ -104,12 +106,47 @@ def _walk_partitions(g: Graph, t: int, k: int, budget: SearchBudget, on_partitio
     it must only ever cut provably useless branches.  Returns
     (status, nodes, millis) where status is EXHAUSTED, FOUND (stopped by
     on_partition), or BUDGET_EXCEEDED.
+
+    lower_twins, when given, holds per vertex the mask of its twins
+    (graphs.twin_classes) with smaller ids, and the walk keeps only the
+    partitions that obey the lex-leader rule of Crawford, Ginsberg, Luks and
+    Roy (KR 1996): a block may hold twin w only if every lower twin of w is
+    in an earlier block or in the same one.  A block that breaks it is
+    counted as a node but not placed; grow still extends it, since a larger
+    block may take the lower twin in.  Every leaf below an unplaced block
+    breaks the rule, so the walk visits exactly the rule-obeying leaves, in
+    the same relative order.
+
+    Soundness.  Swapping two twins is an automorphism of g: it keeps blocks
+    connected and of the same size and maps the cross graph onto an
+    isomorphic one, so it maps good partitions to good partitions.  Number
+    each vertex by the rank of its block in walk order (blocks ordered by
+    smallest member).  If block B holds w and its lower twin u lies in a
+    later block B', swapping u and w keeps the smallest member, and so the
+    rank, of every block whose smallest member is below u; no vertex below u
+    changes rank and u drops to B's rank.  The numbering gets
+    lexicographically smaller, so the least member of every orbit under twin
+    swaps obeys the rule.
+
+    Walk order.  The same swap yields a leaf that the walk reaches strictly
+    earlier.  The blocks before B are shared, and B - w + u is grown before
+    B: grow builds a block by adding, step by step, the least current
+    candidate that the block holds, and twins u, w become candidates
+    together.  Both blocks take the same steps until the step at which u is
+    the least candidate that B - w + u holds.  There it takes u, while B,
+    which lacks u, takes a larger vertex: the candidates B holds are the
+    same ones with w (a candidate, since u is) in place of u.
+    Repeating the swap ends at a rule-obeying leaf that precedes the one we
+    started from.  So the first leaf with any property that twin swaps
+    preserve (being a leaf, having a good refinement with m blue edges,
+    settling some non-edge) is the same with or without the rule.
     """
     check_parameters(t, k)
     n = g.n
     adj = g.adj
     limit = k - 1
     need = t - 2
+    has_lower = 0 if lower_twins is None else sum(1 << v for v, m in enumerate(lower_twins) if m)
     cross = [0] * n
     blocks: list[int] = []
     start = time.perf_counter()
@@ -147,6 +184,12 @@ def _walk_partitions(g: Graph, t: int, k: int, budget: SearchBudget, on_partitio
         if not nodes & 1023 and time.perf_counter() > deadline:
             raise _BudgetHit
         rest = unassigned & ~block
+        twins = block & has_lower
+        while twins:
+            w_bit = twins & -twins
+            twins ^= w_bit
+            if lower_twins[w_bit.bit_length() - 1] & rest:
+                return
         added: list[tuple[int, int, int, int]] = []
         ok = True
         bm = block

@@ -8,6 +8,9 @@ partitions of g once and asks at each leaf which non-edges it would let
 back in.  It keeps the three possible answers apart: co-critical,
 demonstrably not, or indeterminate because the budget ran out.  The same
 walk keeps the maximum-red good coloring, which a co-critical report carries.
+It skips partitions that differ from a visited one only by permuting twin
+vertices, and a non-edge settled there settles every non-edge of its twin
+type.
 
 The structural checks read that coloring off the report, so they walk
 nothing again.  They translate what must hold for verified co-critical
@@ -44,6 +47,7 @@ from .graphs import (
     enumerate_cliques_in_mask,
     induced_subgraph,
     iter_bits,
+    twin_masks,
 )
 from .graph6 import emit_graph6
 from .search import (
@@ -144,14 +148,29 @@ def is_cocritical(
     bridge of that block; its two sides have no g-edge between them, so
     splitting the block leaves the cross graph unchanged and (2) holds.
 
+    Twins.  The walk keeps only the partitions that obey the lex-leader
+    twin rule (search._walk_partitions, given the lower-twin masks of
+    graphs.twin_classes): every orbit of good partitions under permutations
+    inside twin classes has a member that obeys it.  A non-edge's type is
+    the unordered pair of its ends' twin classes; a permutation inside the
+    classes sends any non-edge of a type to any other and g+uv onto g+u'v',
+    so the non-edges of one type all arrow or all do not.  A leaf that
+    settles uv settles its whole type, and the orbit argument shows that
+    every type some good partition settles is settled by a visited one.
+    Each reported non-edge's witness is the settling leaf mapped by the
+    twin permutation that sends the settled non-edge to it (_twin_image),
+    built only for the non-edges the report lists and re-checked on g+uv.
+
     The walk therefore tests every open non-edge at every leaf and stops once
-    none is open, or at the first leaf that settles one under fail_fast.  A
-    non-edge still open when the walk is exhausted is arrowed; one still open
-    when the budget runs out is reported as BUDGET.  The budget bounds this
-    one walk.  per_edge_stats has one (edge, nodes, millis) row per checked
-    non-edge, in g.non_edges() order, each carrying the walk's totals; under
-    fail_fast a stopped walk checks only the first non-edge its last leaf
-    settled (report marked incomplete when others remain).
+    no type is open, or at the first leaf that settles one under fail_fast.
+    A non-edge still open when the walk is exhausted is arrowed; one still
+    open when the budget runs out is reported as BUDGET.  The budget bounds
+    this one walk.  per_edge_stats has one (edge, nodes, millis) row per
+    checked non-edge, in g.non_edges() order, each carrying the totals of the
+    pruned walk; under fail_fast a stopped walk checks only the first
+    non-edge, in that order, that its stopping leaf settled itself (report
+    marked incomplete when others remain).  That leaf is the full walk's
+    first settling leaf too (see below), so the reported non-edge is as well.
 
     Without fail_fast, every leaf also goes to search._fewer_blue until a
     non-edge is settled, and a co-critical report (nothing settled, walk
@@ -159,15 +178,26 @@ def is_cocritical(
     returns.  That search's on_block prunes only subtrees whose partial bound
     is already at least the best count, and every leaf below one would fail
     _fewer_blue's first test.  So both walks make the same improvements in
-    the same order, with the same tie-break.  A fail_fast walk may stop at
-    any settling leaf, so it keeps no coloring.
+    the same order, with the same tie-break.  Improvements are strict, so the
+    answer is the least refinement of the first leaf, in walk order, that
+    has one with the fewest blue edges m.  The twin rule keeps that: having
+    a good refinement with m blue edges, like settling some non-edge or
+    being a leaf at all, is a property twin permutations preserve, and the
+    first leaf of the full walk with such a property obeys the rule
+    (search._walk_partitions, "Walk order").  So the base witness, the first
+    settling leaf and the leaf that holds the max-red coloring are the full
+    walk's.  A fail_fast walk may stop at any settling leaf, so it keeps no
+    coloring.
     """
     budget = budget or SearchBudget()
     n, adj, limit, need = g.n, g.adj, k - 1, t - 2
+    twin_of = twin_masks(g)
     non_edges = g.non_edges()
     open_edges = list(non_edges)
     first: list[int] = []  # block masks of the first leaf: the base witness
-    settled: dict[Edge, list[int]] = {}  # non-edge -> good partition of g+uv
+    # non-edge type (the union of its ends' twin classes) -> the first
+    # non-edge of that type a leaf settled, and that good partition of g+uv
+    settled: dict[int, tuple[Edge, list[int]]] = {}
     best: list = []  # blue edges of the max-red refinement so far
 
     def on_partition(blocks: list[int]) -> bool:
@@ -184,20 +214,26 @@ def is_cocritical(
             bu, bv = block_of[u], block_of[v]
             if (bu | bv).bit_count() <= limit:  # (1) is the case bu == bv
                 merged = [m for m in leaf if m not in (bu, bv)] + [bu | bv]
-                settled[(u, v)] = sorted(merged, key=lambda m: m & -m)
+                witness = sorted(merged, key=lambda m: m & -m)
             elif not _clique_rec(cross, cross[u] & cross[v], need):
-                settled[(u, v)] = leaf
+                witness = leaf
             else:
                 still_open.append((u, v))
-        settled_here = len(still_open) < len(open_edges)
+                continue
+            settled.setdefault(twin_of[u] | twin_of[v], ((u, v), witness))
+        if len(still_open) < len(open_edges):  # this leaf settled a type
+            if fail_fast:
+                return True
+            still_open = [(u, v) for u, v in still_open if twin_of[u] | twin_of[v] not in settled]
         open_edges[:] = still_open
         if not (fail_fast or settled):
             blue = _fewer_blue(g, t, blocks, len(best[0]) if best else None)
             if blue is not None:
                 best[:] = [blue]
-        return not open_edges or (fail_fast and settled_here)
+        return not open_edges
 
-    status, nodes, millis = _walk_partitions(g, t, k, budget, on_partition)
+    lower = [m & ((1 << v) - 1) for v, m in enumerate(twin_of)]
+    status, nodes, millis = _walk_partitions(g, t, k, budget, on_partition, lower_twins=lower)
     if not first:
         # no good base coloring, or none found within the budget
         return CocriticalReport(t, k, len(non_edges), status, None, (), (), True)
@@ -205,11 +241,16 @@ def is_cocritical(
     _assert_witness(g, t, k, base_witness)
     checked = non_edges
     if fail_fast and settled:
-        checked = [next(e for e in non_edges if e in settled)]
+        # the one settling leaf tested in non_edges order: its first hit
+        checked = [next(iter(settled.values()))[0]]
     failures: list[tuple[Edge, str]] = []
     for e in checked:
-        if e in settled:
-            _assert_witness(add_edge(g, *e), t, k, _blocks_to_partition(settled[e], limit))
+        hit = settled.get(twin_of[e[0]] | twin_of[e[1]])
+        if hit is not None:
+            source, witness = hit
+            if source != e:
+                witness = _twin_image(witness, source, e, twin_of)
+            _assert_witness(add_edge(g, *e), t, k, _blocks_to_partition(witness, limit))
             failures.append((e, STILL_COLORABLE))
         elif status == BUDGET_EXCEEDED:
             failures.append((e, BUDGET))
@@ -228,6 +269,28 @@ def is_cocritical(
     coloring = make_coloring(g, best[0])
     assert is_critical(coloring, t, k)
     return replace(report, coloring=coloring)
+
+
+def _twin_image(blocks: list[int], source: Edge, target: Edge, twin_of: list[int]) -> list[int]:
+    """Map a good partition of g+source to one of g+target, for two non-edges
+    of the same type, by a permutation inside twin classes.
+
+    The permutation sends the ends of source to the ends of target (pairing
+    ends of the same class) and the other members of each class involved to
+    the other members in ascending order; it is an automorphism of g that
+    sends g+source onto g+target.
+    """
+    (a, b), (u, v) = source, target
+    if twin_of[a] != twin_of[u]:
+        u, v = v, u
+    perm: dict[int, int] = {}
+    for members in {twin_of[a], twin_of[b]}:
+        ends = [(x, y) for x, y in ((a, u), (b, v)) if twin_of[x] == members]
+        sources = [x for x, _ in ends] + [x for x in iter_bits(members) if x not in (a, b)]
+        targets = [y for _, y in ends] + [y for y in iter_bits(members) if y not in (u, v)]
+        perm.update(zip(sources, targets))
+    image = [sum(1 << perm.get(x, x) for x in iter_bits(m)) for m in blocks]
+    return sorted(image, key=lambda m: m & -m)
 
 
 # --- structure of good colorings on co-critical graphs ----------------------
@@ -376,8 +439,9 @@ def saturation_structure_checks(
         {"within_block_edges": within, "strict_lower_bound": str(rhs)},
     )
 
+    cross_components = len(components(H))
     items["cross_graph_connected"] = StructureItem(
-        True, len(components(H)) == 1, {"components": len(components(H))}
+        True, cross_components == 1, {"components": cross_components}
     )
 
     return StructureReport(t, k, tau, blocks, items)

@@ -105,7 +105,7 @@ def test_a3_instance_4_4_18_extremal():
         problems.append(f"upper bound {upper_bound_edges(4, 4, 18)} not met exactly")
     if not is_critical(blueprint_coloring(p), 4, 4):
         problems.append("blueprint coloring not good")
-    rep = is_cocritical(g, 4, 4)  # default budget: 600 s per subproblem
+    rep = is_cocritical(g, 4, 4)  # default budget: 600 s for the one walk over all non-edges
     blown = [e for e, r in rep.failures if r == BUDGET]
     colorable = [e for e, r in rep.failures if r == STILL_COLORABLE]
     if colorable:

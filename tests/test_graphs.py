@@ -6,6 +6,8 @@ from itertools import combinations
 
 import pytest
 
+from cocritical.canon import nonisomorphic_graphs
+from cocritical.construction import ConstructionParams, build
 from cocritical.graphs import (
     Graph,
     add_edge,
@@ -27,6 +29,7 @@ from cocritical.graphs import (
     max_stable_sets,
     path_graph,
     relabel,
+    twin_classes,
 )
 
 
@@ -163,3 +166,58 @@ def test_max_stable_sets_against_brute_force():
         b_alpha, b_family = brute_max_stable(g)
         assert alpha == b_alpha
         assert sorted(family) == sorted(b_family)
+
+
+def brute_twin_classes(g):
+    # straight from the definitions: closed twins N[u] = N[w], open twins
+    # N(u) = N(w); a vertex takes its closed class when that is non-trivial
+    def closed(u, w):
+        same = all(g.has_edge(u, x) == g.has_edge(w, x) for x in range(g.n) if x not in (u, w))
+        return same and (u == w or g.has_edge(u, w))
+
+    def opened(u, w):
+        return all(g.has_edge(u, x) == g.has_edge(w, x) for x in range(g.n))
+
+    classes = set()
+    for v in range(g.n):
+        cls = frozenset(w for w in range(g.n) if closed(v, w))
+        if len(cls) == 1:
+            cls = frozenset(w for w in range(g.n) if opened(v, w))
+        classes.add(cls)
+    return sorted(classes, key=min)
+
+
+def test_twin_classes_match_definition():
+    checked = 0
+    for n in range(1, 7):
+        for g in nonisomorphic_graphs(n):
+            classes = twin_classes(g)
+            assert classes == brute_twin_classes(g)
+            # a partition of the vertices, and each class is all closed or all open twins
+            assert sorted(v for c in classes for v in c) == list(range(n))
+            for c in classes:
+                ends = sorted(c)[:2]
+                if len(ends) == 2:
+                    adjacent = g.has_edge(*ends)
+                    assert all(g.has_edge(u, w) == adjacent for u, w in combinations(c, 2))
+                # any permutation inside a class is an automorphism: test the cycle
+                perm = list(range(n))
+                members = sorted(c)
+                for a, b in zip(members, members[1:] + members[:1]):
+                    perm[a] = b
+                assert relabel(g, perm) == g
+            checked += 1
+    assert checked == 1 + 2 + 4 + 11 + 34 + 156
+
+
+@pytest.mark.parametrize(
+    "t, k, n, sizes",
+    [
+        (4, 3, 13, [1] * 9 + [2] * 2),
+        (5, 3, 17, [1] * 13 + [2] * 2),
+        (4, 4, 18, [1] * 4 + [2] * 4 + [3] * 2),
+    ],
+)
+def test_twin_class_sizes_of_frozen_instances(t, k, n, sizes):
+    classes = twin_classes(build(ConstructionParams(t, k, n)))
+    assert sorted(len(c) for c in classes) == sizes

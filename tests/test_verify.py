@@ -8,12 +8,23 @@ from cocritical import cli, search, verify
 from cocritical.canon import nonisomorphic_graphs
 from cocritical.coloring import make_coloring
 from cocritical.construction import ConstructionParams, blueprint_coloring, build
-from cocritical.graphs import add_edge, complete_graph, cycle_graph, empty_graph, path_graph
+from cocritical.graphs import (
+    add_edge,
+    complete_graph,
+    cycle_graph,
+    empty_graph,
+    path_graph,
+    twin_classes,
+    twin_masks,
+)
 from cocritical.graph6 import emit_graph6, parse_graph6
 from cocritical.search import (
     FOUND,
     SearchBudget,
+    _assert_witness,
+    _blocks_to_partition,
     _walk_partitions,
+    enumerate_critical_colorings,
     exists_critical_coloring,
     max_red_critical_coloring,
 )
@@ -24,6 +35,7 @@ from cocritical.verify import (
     NOT_CO_CRITICAL,
     STILL_COLORABLE,
     check_critical_structure,
+    _twin_image,
     is_cocritical,
     min_cocritical_search,
     saturation_structure_checks,
@@ -149,6 +161,114 @@ def test_verify_checks_walk_the_graph_once(monkeypatch, capsys):
     assert cli.main(argv) == 0
     capsys.readouterr()
     assert calls == [(4, 4)]
+
+
+def _leaves(g, t, k, lower_twins=None):
+    leaves = []
+
+    def on_partition(blocks):
+        leaves.append(tuple(blocks))
+        return False
+
+    _walk_partitions(g, t, k, SearchBudget(), on_partition, lower_twins=lower_twins)
+    return leaves
+
+
+def _lower_twins(g):
+    return [m & ((1 << v) - 1) for v, m in enumerate(twin_masks(g))]
+
+
+def test_twin_rule_keeps_one_leaf_per_orbit_in_walk_order():
+    # the pruned walk visits exactly the rule-obeying leaves of the full walk,
+    # in the same order, and every leaf of the full walk has a twin image
+    # (same per-class counts, block by block) at or before it among them
+    def obeys(leaf, lower):
+        assigned = 0
+        for block in leaf:
+            assigned |= block
+            if any(lower[w] & ~assigned for w in range(len(lower)) if block >> w & 1):
+                return False
+        return True
+
+    pruned_away = 0
+    for n in range(2, 7):
+        for g in nonisomorphic_graphs(n):
+            class_of = {v: i for i, c in enumerate(twin_classes(g)) for v in c}
+            lower = _lower_twins(g)
+
+            def orbit(leaf):
+                counts = []
+                for block in leaf:
+                    members = [v for v in range(n) if block >> v & 1]
+                    counts.append(tuple(sorted(class_of[v] for v in members)))
+                return tuple(sorted(counts))
+
+            for t, k in ((3, 3), (3, 4), (4, 3), (3, 5)):
+                full = _leaves(g, t, k)
+                pruned = _leaves(g, t, k, lower)
+                assert pruned == [leaf for leaf in full if obeys(leaf, lower)]
+                seen = set()
+                for leaf in full:
+                    if obeys(leaf, lower):
+                        seen.add(orbit(leaf))
+                    assert orbit(leaf) in seen
+                pruned_away += len(full) - len(pruned)
+    assert pruned_away > 0
+
+
+def test_twin_image_maps_witnesses_within_a_type():
+    # a good partition of g+e0 mapped by _twin_image is a good partition of
+    # g+e for every non-edge e of e0's type (the union of its ends' classes)
+    mapped = 0
+    for n in range(2, 7):
+        for g in nonisomorphic_graphs(n):
+            twin_of = twin_masks(g)
+            for t, k in ((3, 3), (3, 4), (4, 3)):
+                for e0 in g.non_edges():
+                    found = exists_critical_coloring(add_edge(g, *e0), t, k).witness
+                    if found is None:
+                        continue
+                    source = [sum(1 << v for v in b) for b in found.blocks]
+                    kind = twin_of[e0[0]] | twin_of[e0[1]]
+                    for e in g.non_edges():
+                        if e != e0 and twin_of[e[0]] | twin_of[e[1]] == kind:
+                            image = _blocks_to_partition(_twin_image(source, e0, e, twin_of), k - 1)
+                            _assert_witness(add_edge(g, *e), t, k, image)
+                            mapped += 1
+    assert mapped > 1000
+
+
+@pytest.mark.parametrize(
+    "t, k, n, pruned, full",
+    [(4, 3, 13, 306, 306), (5, 3, 17, 42522, 42522), (4, 4, 18, 27428, 97761)],
+)
+def test_twin_rule_walk_sizes(t, k, n, pruned, full):
+    # the twin pairs of (4,3,13) and (5,3,17) never trigger the rule
+    g = build(ConstructionParams(t, k, n))
+    report = is_cocritical(g, t, k)
+    assert {nodes for _, nodes, _ in report.per_edge_stats} == {pruned}
+    _, nodes, _ = _walk_partitions(g, t, k, SearchBudget(), lambda blocks: False)
+    assert nodes == full
+
+
+def test_twin_rule_only_in_cocriticality_walk(monkeypatch):
+    # the other searches keep the full walk, so they stay independent oracles
+    seen = []
+
+    def recording_walk(*args, lower_twins=None, **kwargs):
+        seen.append(lower_twins)
+        return _walk_partitions(*args, lower_twins=lower_twins, **kwargs)
+
+    monkeypatch.setattr(search, "_walk_partitions", recording_walk)
+    monkeypatch.setattr(verify, "_walk_partitions", recording_walk)
+    g = parse_graph6("DN{")  # co-critical for (3, 3), with twins
+    assert any(len(c) > 1 for c in twin_classes(g))
+    exists_critical_coloring(g, 3, 3)
+    enumerate_critical_colorings(g, 3, 3)
+    max_red_critical_coloring(g, 3, 3)
+    assert seen == [None, None, None]
+    is_cocritical(g, 3, 3)
+    assert seen[3] == _lower_twins(g)
 
 
 def test_complete_graph_is_never_cocritical():
