@@ -354,15 +354,21 @@ def _props_one(g: Graph, budget: SearchBudget) -> tuple[dict, bool, bool]:
 def cmd_props(args) -> int:
     t0 = time.perf_counter()
     with open(args.corpus, encoding="latin-1") as fh:
-        graphs = parse_graph6_lines(fh.read())
+        text = fh.read()
+    graphs = parse_graph6_lines(text)
+    # parse_graph6_lines skips blank lines; keep each graph's line number
+    numbers = [number for number, line in enumerate(text.splitlines(), 1) if line.strip()]
     parse_ms = (time.perf_counter() - t0) * 1000
     budget = _budget(args)
     t0 = time.perf_counter()
     rows = []
     failures = 0
     indeterminate = 0
-    for g in graphs:
-        row, ok, indet = _props_one(g, budget)
+    for number, g in zip(numbers, graphs):
+        try:
+            row, ok, indet = _props_one(g, budget)
+        except ValueError as exc:
+            raise ValueError(f"line {number}: {exc}") from None
         rows.append(row)
         failures += 0 if ok else 1
         indeterminate += 1 if indet else 0

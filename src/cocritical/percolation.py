@@ -297,19 +297,24 @@ def run(
     and the certificate comes back uncertified if violations occurred or bad
     vertices survive the iteration cap of 2*q*q.
     """
+    if g.n == 0:
+        raise ValueError("graph has no vertices: nothing to percolate")
     if q < 1:
         raise ValueError("threshold q must be at least 1")
     if sorted(v for b in partition.blocks for v in b) != list(range(g.n)):
         raise ValueError("partition does not cover the graph's vertices")
-    if g.n and g.min_degree() < q:
+    if g.min_degree() < q:
         raise ValueError(
             f"minimum degree {g.min_degree()} below threshold {q}: no certificate possible"
         )
     if seeds is None:
         seeds = frozenset({default_seed(g)})
     seeds = frozenset(seeds)
-    if not seeds or any(not 0 <= v < g.n for v in seeds):
-        raise ValueError("seeds must be a nonempty subset of the vertices")
+    if not seeds:
+        raise ValueError("seeds must be nonempty")
+    for v in sorted(seeds):
+        if not 0 <= v < g.n:
+            raise ValueError(f"seed vertex {v} outside 0..{g.n - 1}")
 
     state = make_state(g, partition, q, seeds)
     trail: list[dict] = [state.summary()]

@@ -38,6 +38,7 @@ from .coloring import (
 from .graphs import (
     Graph,
     _clique_rec,
+    bitmask,
     enumerate_cliques,
     has_clique,
     is_connected_mask,
@@ -95,17 +96,27 @@ class _BudgetHit(Exception):
     pass
 
 
-def _walk_partitions(
-    g: Graph, t: int, k: int, budget: SearchBudget, on_partition, on_block=None, lower_twins=None
-):
+class _Stop(Exception):
+    pass
+
+
+def _walk_partitions(g: Graph, t: int, k: int, budget: SearchBudget, on_partition, lower_twins=None):
     """Visit every connected-block partition with a clique-free cross graph.
 
     on_partition(blocks) gets the list of block masks of each complete
-    partition and returns True to stop the walk.  on_block(blocks), when
-    given, can veto a just-placed block (return False) to prune its subtree;
-    it must only ever cut provably useless branches.  Returns
-    (status, nodes, millis) where status is EXHAUSTED, FOUND (stopped by
-    on_partition), or BUDGET_EXCEEDED.
+    partition (a list the walker goes on reusing) and returns True to stop
+    the walk, which unwinds by raising _Stop.  Returns (status, nodes,
+    millis) where status is EXHAUSTED, FOUND (stopped by on_partition, even
+    at the last leaf), or BUDGET_EXCEEDED.
+
+    Each placement copies its parent's cross rows, adds the edges from the
+    new block to the unplaced rest and hands the copy down, so nothing is
+    undone on the way back.  Only those new edges can close a K_t: a cross
+    edge never joins two vertices of one block, or two unplaced vertices, so
+    a new K_t has exactly one vertex u in the new block and one vertex w in
+    the rest, its other t - 2 vertices lie in earlier blocks, and uw is its
+    only new edge.  The test of uw on cross[u] & cross[w] therefore finds it
+    whatever order the new edges go in.
 
     lower_twins, when given, holds per vertex the mask of its twins
     (graphs.twin_classes) with smaller ids, and the walk keeps only the
@@ -142,43 +153,39 @@ def _walk_partitions(
     settling some non-edge) is the same with or without the rule.
     """
     check_parameters(t, k)
-    n = g.n
     adj = g.adj
     limit = k - 1
     need = t - 2
     has_lower = 0 if lower_twins is None else sum(1 << v for v, m in enumerate(lower_twins) if m)
-    cross = [0] * n
     blocks: list[int] = []
     start = time.perf_counter()
     deadline = start + budget.time_cap
     node_cap = budget.node_cap
-    state = {"nodes": 0, "stopped": False}
+    nodes = 0
 
-    def place(unassigned: int) -> None:
+    def place(unassigned: int, cross: list[int]) -> None:
         if unassigned == 0:
             if on_partition(blocks):
-                state["stopped"] = True
+                raise _Stop
             return
         v0_bit = unassigned & -unassigned
-        grow(v0_bit, adj[v0_bit.bit_length() - 1], 0, unassigned)
+        grow(v0_bit, adj[v0_bit.bit_length() - 1], 0, unassigned, cross)
 
-    def grow(block: int, reach: int, forbidden: int, unassigned: int) -> None:
-        attempt(block, unassigned)
-        if state["stopped"] or block.bit_count() == limit:
+    def grow(block: int, reach: int, forbidden: int, unassigned: int, cross: list[int]) -> None:
+        attempt(block, unassigned, cross)
+        if block.bit_count() == limit:
             return
         cand = reach & unassigned & ~block & ~forbidden
         used = 0
         while cand:
             low = cand & -cand
             cand ^= low
-            grow(block | low, reach | adj[low.bit_length() - 1], forbidden | used, unassigned)
-            if state["stopped"]:
-                return
+            grow(block | low, reach | adj[low.bit_length() - 1], forbidden | used, unassigned, cross)
             used |= low
 
-    def attempt(block: int, unassigned: int) -> None:
-        nodes = state["nodes"] + 1
-        state["nodes"] = nodes
+    def attempt(block: int, unassigned: int, cross: list[int]) -> None:
+        nonlocal nodes
+        nodes += 1
         if nodes > node_cap:
             raise _BudgetHit
         if not nodes & 1023 and time.perf_counter() > deadline:
@@ -190,55 +197,34 @@ def _walk_partitions(
             twins ^= w_bit
             if lower_twins[w_bit.bit_length() - 1] & rest:
                 return
-        added: list[tuple[int, int, int, int]] = []
-        ok = True
+        cross = cross[:]
         bm = block
-        while bm and ok:
+        while bm:
             u_bit = bm & -bm
             bm ^= u_bit
             u = u_bit.bit_length() - 1
             targets = adj[u] & rest
-            row_u = cross[u]
             while targets:
                 w_bit = targets & -targets
                 targets ^= w_bit
                 w = w_bit.bit_length() - 1
-                row_u |= w_bit
-                cross[u] = row_u
+                cross[u] |= w_bit
                 cross[w] |= u_bit
-                added.append((u, w_bit, w, u_bit))
-                common = row_u & cross[w]
-                if need == 2:
-                    # clique through the new edge = any edge inside the
-                    # common cross neighborhood
-                    m = common
-                    while m:
-                        x_bit = m & -m
-                        m ^= x_bit
-                        if cross[x_bit.bit_length() - 1] & m:
-                            ok = False
-                            break
-                    if not ok:
-                        break
-                elif _clique_rec(cross, common, need):
-                    ok = False
-                    break
-        if ok:
-            blocks.append(block)
-            if on_block is None or on_block(blocks):
-                place(rest)
-            blocks.pop()
-        for u, w_bit, w, u_bit in added:
-            cross[u] ^= w_bit
-            cross[w] ^= u_bit
+                if _clique_rec(cross, cross[u] & cross[w], need):
+                    return
+        blocks.append(block)
+        place(rest, cross)
+        blocks.pop()
 
     try:
-        place(g.vertex_mask)
-        status = FOUND if state["stopped"] else EXHAUSTED
+        place(g.vertex_mask, [0] * g.n)
+        status = EXHAUSTED
+    except _Stop:
+        status = FOUND
     except _BudgetHit:
         status = BUDGET_EXCEEDED
     millis = (time.perf_counter() - start) * 1000.0
-    return status, state["nodes"], millis
+    return status, nodes, millis
 
 
 def _blocks_to_partition(block_masks: list[int], max_block: int) -> BlockPartition:
@@ -250,8 +236,6 @@ def _blocks_to_partition(block_masks: list[int], max_block: int) -> BlockPartiti
 
 def _assert_witness(g: Graph, t: int, k: int, p: BlockPartition) -> None:
     # independent re-validation of what the walker promised
-    from .graphs import bitmask
-
     for b in p.blocks:
         if len(b) > k - 1:
             raise AssertionError("witness block too large")
@@ -393,12 +377,10 @@ def enumerate_critical_colorings(g: Graph, t: int, k: int, budget: SearchBudget 
 def max_red_critical_coloring(g: Graph, t: int, k: int, budget: SearchBudget | None = None) -> EdgeColoring:
     """A good coloring with the most red edges; first in canonical order on ties.
 
-    Minimizing blue is the same thing, and each block needs at least
-    block-size - 1 blue edges to hold together, which gives the bound used to
-    prune partial partitions that cannot beat the best coloring found so far.
-    Each leaf goes to _fewer_blue, which tries its candidates in
-    (len(blue), blue) order; across partitions the first one found in walk
-    order wins a tie.
+    Minimizing blue is the same thing.  Every leaf of the full walk goes to
+    _fewer_blue, which tries its candidates in (len(blue), blue) order and
+    takes only one with fewer blue edges than the best so far; across
+    partitions the first one found in walk order wins a tie.
 
     A candidate's red graph is g minus its blue edges, so _red_clique_free
     tests g's adjacency rows with the blue bits cleared, which is the same
@@ -408,9 +390,6 @@ def max_red_critical_coloring(g: Graph, t: int, k: int, budget: SearchBudget | N
     budget = budget or SearchBudget()
     best: dict = {"count": None, "blue": None}
 
-    def on_block(blocks: list[int]) -> bool:
-        return best["count"] is None or sum(m.bit_count() - 1 for m in blocks) < best["count"]
-
     def on_partition(blocks: list[int]) -> bool:
         blue = _fewer_blue(g, t, blocks, best["count"])
         if blue is not None:
@@ -418,7 +397,7 @@ def max_red_critical_coloring(g: Graph, t: int, k: int, budget: SearchBudget | N
             best["blue"] = blue
         return False
 
-    status, nodes, millis = _walk_partitions(g, t, k, budget, on_partition, on_block)
+    status, nodes, millis = _walk_partitions(g, t, k, budget, on_partition)
     if status == BUDGET_EXCEEDED:
         raise IndeterminateResultError(
             f"maximization incomplete after {nodes} nodes", nodes, millis

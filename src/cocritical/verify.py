@@ -175,11 +175,10 @@ def is_cocritical(
     Without fail_fast, every leaf also goes to search._fewer_blue until a
     non-edge is settled, and a co-critical report (nothing settled, walk
     exhausted) carries the max-red coloring that max_red_critical_coloring
-    returns.  That search's on_block prunes only subtrees whose partial bound
-    is already at least the best count, and every leaf below one would fail
-    _fewer_blue's first test.  So both walks make the same improvements in
-    the same order, with the same tie-break.  Improvements are strict, so the
-    answer is the least refinement of the first leaf, in walk order, that
+    returns.  Both run the same leaf step, _fewer_blue against the best count
+    so far, over their leaves in walk order; the standalone search takes
+    every leaf of the full walk.  Improvements are strict, so its answer is
+    the least refinement of the first leaf, in walk order, that
     has one with the fewest blue edges m.  The twin rule keeps that: having
     a good refinement with m blue edges, like settling some non-edge or
     being a leaf at all, is a property twin permutations preserve, and the

@@ -262,6 +262,59 @@ def test_props_bad_line_is_located(capsys, tmp_path):
     assert "line 4: byte 0:" in err
 
 
+def test_props_suite_error_is_located(capsys, tmp_path):
+    corpus = tmp_path / "corpus.g6"
+    corpus.write_text("C~\n\n" + emit_graph6(build(ConstructionParams(4, 5, 28))) + "\n")
+    code, out, err = run_cli(capsys, "props", "--corpus", str(corpus))
+    assert code == 2 and out == ""
+    assert err == "error: line 3: stable-set enumeration guarded to n <= 24\n"
+
+
+def test_percolate_empty_graph_is_named(capsys):
+    code, out, err = run_cli(capsys, "percolate", "--graph6", "?", "--t", "3", "--k", "3", "--q", "1")
+    assert code == 2 and out == ""
+    assert err == "error: graph has no vertices: nothing to percolate\n"
+
+
+def test_percolate_seed_out_of_range_is_named(capsys):
+    code, out, err = run_cli(
+        capsys, "percolate", "--construct", "4,3,13", "--q", "1", "--seed", "99"
+    )
+    assert code == 2 and out == ""
+    assert err == "error: seed vertex 99 outside 0..12\n"
+
+
+# what an exit-2 message must name, per boundary run
+BOUNDARY_ERRORS = {
+    ("percolate", "?"): "graph has no vertices",
+    ("percolate", "@"): "minimum degree 0",
+    ("props", "?"): "line 1: graph has no vertices",
+}
+
+
+@pytest.mark.parametrize("g6", ["?", "@"])
+@pytest.mark.parametrize("command", ["verify", "arrows", "percolate", "props"])
+def test_boundary_graphs_exit_cleanly(capsys, tmp_path, command, g6):
+    if command == "props":
+        corpus = tmp_path / "corpus.g6"
+        corpus.write_text(g6 + "\n")
+        argv = ["props", "--corpus", str(corpus)]
+    else:
+        argv = [command, "--graph6", g6, "--t", "3", "--k", "3"]
+        if command == "percolate":
+            argv += ["--q", "1"]
+    code, out, err = run_cli(capsys, *argv)
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err
+    if code == 2:
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert BOUNDARY_ERRORS[command, g6] in lines[0]
+    else:
+        json.loads(out)
+
+
 def test_percolate_bad_seed_names_the_option(capsys):
     code, _, err = run_cli(
         capsys, "percolate", "--construct", "4,3,13", "--q", "3", "--seed", "1,,2"

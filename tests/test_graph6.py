@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from cocritical.canon import nonisomorphic_graphs
 from cocritical.graphs import complete_graph, cycle_graph, empty_graph, make_graph
 from cocritical.graph6 import (
     emit_graph6,
@@ -102,3 +103,18 @@ def test_parse_lines():
     graphs = parse_graph6_lines(lines)
     assert graphs == [complete_graph(3), cycle_graph(4)]
 
+
+
+def test_codec_matches_networkx():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(6)
+    graphs = [g for n in range(1, 8) for g in nonisomorphic_graphs(n)]
+    graphs += [rand_graph(rng, n, rng.random()) for n in (0, 1, 62, 63, 64, 128) for _ in range(3)]
+    for g in graphs:
+        h = nx.Graph()
+        h.add_nodes_from(range(g.n))
+        h.add_edges_from(g.edges())
+        line = emit_graph6(g)
+        assert line.encode() == nx.to_graph6_bytes(h, header=False).strip()
+        back = nx.from_graph6_bytes(line.encode())
+        assert parse_graph6(line) == make_graph(back.number_of_nodes(), list(back.edges()))

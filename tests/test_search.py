@@ -7,7 +7,13 @@ import pytest
 
 from cocritical import search
 from cocritical.canon import nonisomorphic_graphs
-from cocritical.coloring import is_critical, make_coloring, partition_to_coloring
+from cocritical.coloring import (
+    cross_graph,
+    is_critical,
+    make_coloring,
+    make_partition,
+    partition_to_coloring,
+)
 from cocritical.construction import ConstructionParams, build
 from cocritical.graphs import complete_graph, has_clique, is_connected_mask, bitmask, make_graph
 from cocritical.search import (
@@ -23,6 +29,7 @@ from cocritical.search import (
     enumerate_critical_colorings,
     exists_critical_coloring,
     max_red_critical_coloring,
+    _walk_partitions,
 )
 
 PAIRS = ((3, 3), (3, 4), (4, 3))
@@ -212,3 +219,65 @@ def test_colorings_are_built_only_for_answers(monkeypatch):
         calls.clear()
         colorings = enumerate_critical_colorings(g, t, k)
         assert colorings and len(calls) == len(colorings)
+
+
+def set_partitions(items):
+    """Every partition of the list items into blocks, by plain recursion."""
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for part in set_partitions(rest):
+        for i in range(len(part)):
+            yield part[:i] + [[first] + part[i]] + part[i + 1 :]
+        yield [[first]] + part
+
+
+def reference_good_partitions(g, t, k):
+    """Good partitions by definition: connected blocks of at most k-1
+    vertices whose cross graph holds no K_t."""
+    good = set()
+    for part in set_partitions(list(range(g.n))):
+        if any(len(b) > k - 1 or not is_connected_mask(g, bitmask(b)) for b in part):
+            continue
+        if not has_clique(cross_graph(g, make_partition(part, k - 1)), t):
+            good.add(frozenset(bitmask(b) for b in part))
+    return good
+
+
+def walk_leaves(g, t, k):
+    leaves = []
+    status, _, _ = _walk_partitions(
+        g, t, k, SearchBudget(), lambda blocks: leaves.append(frozenset(blocks))
+    )
+    assert status == EXHAUSTED
+    return leaves
+
+
+def test_walk_leaves_are_the_good_partitions():
+    for n in range(1, 7):
+        for g in nonisomorphic_graphs(n):
+            for t, k in PAIRS:
+                leaves = walk_leaves(g, t, k)
+                assert len(set(leaves)) == len(leaves)
+                assert set(leaves) == reference_good_partitions(g, t, k), (g.adj, t, k)
+
+
+def test_walk_stops_at_the_leaf_that_asks():
+    stopped = 0
+    for g in nonisomorphic_graphs(5):
+        for t, k in PAIRS:
+            total = len(walk_leaves(g, t, k))
+            if not total:
+                continue
+            for j in sorted({1, (total + 1) // 2, total}):
+                calls = []
+
+                def on_partition(blocks, j=j):
+                    calls.append(list(blocks))
+                    return len(calls) == j
+
+                status, _, _ = _walk_partitions(g, t, k, SearchBudget(), on_partition)
+                assert status == FOUND and len(calls) == j
+                stopped += 1
+    assert stopped > 100
