@@ -243,15 +243,12 @@ def cmd_arrows(args) -> int:
 def cmd_percolate(args) -> int:
     t0 = time.perf_counter()
     budget = _budget(args)
+    g, source = _load_graph(args)
     if args.construct is not None:
-        params = _parse_construct(args.construct)
-        g = build(params)
-        blocks = blue_blocks(blueprint_coloring(params))
-        source: dict = {"construct": args.construct}
+        blocks = blue_blocks(blueprint_coloring(_parse_construct(args.construct)))
+    elif args.t is None or args.k is None:
+        raise ValueError("--t and --k are required to derive a coloring")
     else:
-        g, source = _load_graph(args)
-        if args.t is None or args.k is None:
-            raise ValueError("--t and --k are required to derive a coloring")
         try:
             tau = max_red_critical_coloring(g, args.t, args.k, budget)
         except NoCriticalColoringError:

@@ -15,11 +15,20 @@ The run loop repairs exterior vertices of low weight ("bad") by augmenting
 the seed set along their neighborhood traces: each distinct trace donates one
 booster (an exterior neighbor of the smallest bad representative), the bad
 classmates sharing the booster's block, and the booster's old-closure
-neighborhood.  A potential function phi (the influence-weighted neighborhood
-score) must rise by at least 1/(2q) on every surviving bad vertex per
-iteration, which bounds the loop by 2*q*q iterations.  Every inequality the
-final certificate relies on is re-established by explicit counting, and any
-violation raises with the full iteration trail attached.
+neighborhood.  The influence f(x) is 1 on seeds, 1/2 on the rest of the
+closure and d_seeds(x)/(2q) outside it; the potential phi(v), the total
+influence over the neighborhood of v, never exceeds omega(v) on the exterior.
+phi must rise by at least 1/(2q) on every surviving bad vertex per iteration,
+which bounds the loop by 2*q*q iterations.
+
+Every one of these rationals is a multiple of 1/(2q), so the module keeps
+them as exact integers in units of 1/(2q): omega(v) is 2q*d_closure(v) +
+q*d_exterior(v); f(x) is 2q on seeds, q on the rest of the closure and
+d_seeds(x) outside; phi(v) is the sum of f over N(v); a vertex is bad when its
+weight is below 2q^2; and the progress floor is 1.  Fractions appear only in
+messages.  Every inequality the final certificate relies on is re-established
+by explicit counting, and any violation raises with the full iteration trail
+attached.
 """
 
 from __future__ import annotations
@@ -30,8 +39,6 @@ from math import comb
 
 from .coloring import BlockPartition
 from .graphs import Graph, bitmask, iter_bits
-
-PROGRESS_GAIN_DENOMINATOR = 2  # surviving bad vertices must gain 1/(2q) per step
 
 
 class PercolationError(RuntimeError):
@@ -72,170 +79,84 @@ def _close(adj, n: int, seed_mask: int, q: int):
     return active, activation_edges
 
 
-@dataclass(frozen=True, eq=False)
-class PercolationState:
-    graph: Graph
-    partition: BlockPartition
-    q: int
-    iteration: int
-    seeds: frozenset[int]
-    closure: frozenset[int]
-    activation_edges: int
-    exterior: frozenset[int]
-    bad: frozenset[int]
-    weight_of: dict[int, Fraction]
-    influence_of: dict[int, Fraction]
-    score_of: dict[int, Fraction]
-    last_step: dict | None
+def _measure(g: Graph, q: int, seed_mask: int):
+    """Measure one seed set, in units of 1/(2q).
 
-    def summary(self) -> dict:
-        return {
-            "iteration": self.iteration,
-            "seeds": sorted(self.seeds),
-            "closure_size": len(self.closure),
-            "exterior_size": len(self.exterior),
-            "bad": sorted(self.bad),
-            "activation_edges": self.activation_edges,
-        }
-
-
-def weight(state: PercolationState, v: int) -> Fraction:
-    """omega(v): closure degree plus half the exterior degree; exterior only."""
-    if v not in state.weight_of:
-        raise ValueError(f"vertex {v} is not exterior")
-    return state.weight_of[v]
-
-
-def influence(state: PercolationState, x: int) -> Fraction:
-    """f(x): 1 on seeds, 1/2 on the rest of the closure, d_seeds(x)/(2q) outside."""
-    return state.influence_of[x]
-
-
-def score(state: PercolationState, v: int) -> Fraction:
-    """phi(v): total influence over the neighborhood of v."""
-    return state.score_of[v]
-
-
-def make_state(
-    g: Graph,
-    partition: BlockPartition,
-    q: int,
-    seeds: frozenset[int],
-    iteration: int = 0,
-    last_step: dict | None = None,
-) -> PercolationState:
+    Returns (closure mask, activation edges, exterior mask, weight of each
+    exterior vertex as a dict, influence list, score list, bad mask).  Raises
+    if a score exceeds its weight."""
     adj = g.adj
-    n = g.n
-    seed_mask = bitmask(seeds)
-    closure_mask, activation_edges = _close(adj, n, seed_mask, q)
+    closure_mask, activation_edges = _close(adj, g.n, seed_mask, q)
     ext_mask = g.vertex_mask & ~closure_mask
-    weight_of = {
-        v: Fraction((adj[v] & closure_mask).bit_count())
-        + Fraction((adj[v] & ext_mask).bit_count(), 2)
+    weight = {
+        v: 2 * q * (adj[v] & closure_mask).bit_count() + q * (adj[v] & ext_mask).bit_count()
         for v in iter_bits(ext_mask)
     }
-    influence_of: dict[int, Fraction] = {}
-    for x in range(n):
-        if seed_mask >> x & 1:
-            influence_of[x] = Fraction(1)
-        elif closure_mask >> x & 1:
-            influence_of[x] = Fraction(1, 2)
-        else:
-            influence_of[x] = Fraction((adj[x] & seed_mask).bit_count(), 2 * q)
-    score_of = {
-        v: sum((influence_of[x] for x in iter_bits(adj[v])), Fraction(0))
-        for v in range(n)
-    }
-    bad = frozenset(v for v, w in weight_of.items() if w < q)
-    for v in iter_bits(ext_mask):
+    influence = [
+        2 * q if seed_mask >> x & 1
+        else q if closure_mask >> x & 1
+        else (row & seed_mask).bit_count()
+        for x, row in enumerate(adj)
+    ]
+    score = [sum(influence[x] for x in iter_bits(row)) for row in adj]
+    bad = 0
+    for v, w in weight.items():
         # the potential never exceeds the weight it chases
-        if score_of[v] > weight_of[v]:
+        if score[v] > w:
             raise PercolationError(f"score exceeds weight at vertex {v}")
-    return PercolationState(
-        g,
-        partition,
-        q,
-        iteration,
-        frozenset(seeds),
-        frozenset(iter_bits(closure_mask)),
-        activation_edges,
-        frozenset(iter_bits(ext_mask)),
-        bad,
-        weight_of,
-        influence_of,
-        score_of,
-        last_step,
-    )
+        if w < 2 * q * q:
+            bad |= 1 << v
+    return closure_mask, activation_edges, ext_mask, weight, influence, score, bad
 
 
-def step(state: PercolationState) -> PercolationState:
+def _repair(g: Graph, partition: BlockPartition, q: int, iteration: int,
+            seed_mask: int, closure_mask: int, bad: int) -> tuple[int, dict]:
     """One augmentation round: group bad vertices by their seed-neighborhood
     trace, add one booster per trace plus its bad block classmates and its
-    old-closure neighborhood, then rebuild the state on the larger seed set."""
-    if not state.bad:
-        raise ValueError("nothing to repair: no bad vertices")
-    g = state.graph
+    old-closure neighborhood.  Returns the grown seed mask and the round's
+    trail detail."""
     adj = g.adj
-    q = state.q
-    seed_mask = bitmask(state.seeds)
-    closure_mask = bitmask(state.closure)
-    ext_mask = bitmask(state.exterior)
-
     traces: dict[int, int] = {}  # trace mask -> smallest bad representative
-    for v in sorted(state.bad):
+    for v in iter_bits(bad):
         traces.setdefault(adj[v] & seed_mask, v)
-    trace_bound = sum(comb(len(state.seeds), j) for j in range(q))
+    seed_count = seed_mask.bit_count()
+    trace_bound = sum(comb(seed_count, j) for j in range(q))
     if len(traces) > trace_bound:
         raise PercolationError(
             f"{len(traces)} traces exceed the size-{q - 1} neighborhood bound {trace_bound}"
         )
 
-    block_of = {v: frozenset(b) for b in state.partition.blocks for v in b}
     added = 0
     detail: dict[str, dict] = {}
-    for trace_mask, rep in sorted(traces.items(), key=lambda kv: kv[1]):
-        ext_nbrs = adj[rep] & ext_mask
+    for trace_mask, rep in traces.items():  # first-seen order: reps ascend
+        ext_nbrs = adj[rep] & ~closure_mask
         if not ext_nbrs:
             raise PercolationError(f"bad vertex {rep} has no exterior neighbor")
         booster = (ext_nbrs & -ext_nbrs).bit_length() - 1
-        classmates = [
-            v
-            for v in sorted(state.bad)
-            if adj[v] & seed_mask == trace_mask and v in block_of[booster]
-        ]
+        block = next(bitmask(b) for b in partition.blocks if booster in b)
+        classmates = [v for v in iter_bits(bad & block) if adj[v] & seed_mask == trace_mask]
         closure_nbrs = adj[booster] & closure_mask
-        added |= 1 << booster
-        added |= bitmask(classmates)
-        added |= closure_nbrs
-        detail[",".join(map(str, sorted(iter_bits(trace_mask))))] = {
+        added |= 1 << booster | bitmask(classmates) | closure_nbrs
+        detail[",".join(map(str, iter_bits(trace_mask)))] = {
             "representative": rep,
             "booster": booster,
             "classmates": classmates,
-            "closure_neighbors": sorted(iter_bits(closure_nbrs)),
+            "closure_neighbors": list(iter_bits(closure_nbrs)),
         }
 
-    new_seeds = frozenset(state.seeds) | frozenset(iter_bits(added))
-    allowance = (state.partition.max_block + 1 + q - 2) * len(traces)
-    if len(new_seeds) > len(state.seeds) + allowance:
+    grown = seed_mask | added
+    allowance = (partition.max_block + q - 1) * len(traces)
+    if grown.bit_count() > seed_count + allowance:
         raise PercolationError(
-            f"seed growth {len(new_seeds) - len(state.seeds)} exceeds allowance {allowance}"
+            f"seed growth {grown.bit_count() - seed_count} exceeds allowance {allowance}"
         )
-    info = {
-        "iteration": state.iteration + 1,
+    return grown, {
+        "iteration": iteration,
         "trace_count": len(traces),
         "trace_bound": trace_bound,
         "growth_allowance": allowance,
         "traces": detail,
     }
-    nxt = make_state(g, state.partition, q, new_seeds, state.iteration + 1, info)
-    if not nxt.closure >= state.closure:
-        raise PercolationError("closure not monotone under seed growth")
-    if not nxt.bad <= state.bad:
-        raise PercolationError("bad set gained a vertex")
-    for x in range(g.n):
-        if nxt.influence_of[x] < state.influence_of[x]:
-            raise PercolationError(f"influence dropped at vertex {x}")
-    return nxt
 
 
 @dataclass(frozen=True)
@@ -258,24 +179,8 @@ class PercolationCertificate:
     trail: tuple[dict, ...]
 
     def to_json(self) -> dict:
-        return {
-            "q": self.q,
-            "seed_origin": list(self.seed_origin),
-            "seeds": list(self.seeds),
-            "iterations": self.iterations,
-            "certified": self.certified,
-            "closure_size": self.closure_size,
-            "exterior_size": self.exterior_size,
-            "edges_total": self.edges_total,
-            "edges_inside_closure": self.edges_inside_closure,
-            "edges_between": self.edges_between,
-            "edges_inside_exterior": self.edges_inside_exterior,
-            "activation_edges": self.activation_edges,
-            "activated": self.activated,
-            "edge_lower_bound": self.edge_lower_bound,
-            "progress_violations": list(self.progress_violations),
-            "trail": list(self.trail),
-        }
+        """The fields in declaration order, tuples as lists."""
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in vars(self).items()}
 
 
 def default_seed(g: Graph) -> int:
@@ -316,70 +221,93 @@ def run(
         if not 0 <= v < g.n:
             raise ValueError(f"seed vertex {v} outside 0..{g.n - 1}")
 
-    state = make_state(g, partition, q, seeds)
-    trail: list[dict] = [state.summary()]
-    violations: list[str] = []
     cap = 2 * q * q
-    while state.bad and state.iteration < cap:
-        nxt = step(state)
-        gain_floor = Fraction(1, PROGRESS_GAIN_DENOMINATOR * q)
-        for v in sorted(nxt.bad):
-            gain = nxt.score_of[v] - state.score_of[v]
-            if gain < gain_floor:
-                msg = (
-                    f"iteration {nxt.iteration}: bad vertex {v} gained "
-                    f"{gain} < {gain_floor}"
-                )
-                violations.append(msg)
-                if check_progress:
-                    trail.append(nxt.summary())
-                    raise PercolationError(msg, tuple(trail))
-        state = nxt
-        trail.append({**state.summary(), "step": state.last_step})
-    if state.bad and check_progress:
+    seed_mask = bitmask(seeds)
+    iteration = 0
+    prev = info = None
+    trail: list[dict] = []
+    violations: list[str] = []
+    while True:
+        closure_mask, activation_edges, ext_mask, weight, influence, score, bad = _measure(
+            g, q, seed_mask
+        )
+        entry = {
+            "iteration": iteration,
+            "seeds": list(iter_bits(seed_mask)),
+            "closure_size": closure_mask.bit_count(),
+            "exterior_size": ext_mask.bit_count(),
+            "bad": list(iter_bits(bad)),
+            "activation_edges": activation_edges,
+        }
+        if prev is not None:
+            old_closure, old_influence, old_score, old_bad = prev
+            if old_closure & ~closure_mask:
+                raise PercolationError("closure not monotone under seed growth")
+            if bad & ~old_bad:
+                raise PercolationError("bad set gained a vertex")
+            for x in range(g.n):
+                if influence[x] < old_influence[x]:
+                    raise PercolationError(f"influence dropped at vertex {x}")
+            for v in iter_bits(bad):
+                gain = score[v] - old_score[v]
+                if gain < 1:  # the floor 1/(2q), in units of 1/(2q)
+                    msg = (
+                        f"iteration {iteration}: bad vertex {v} gained "
+                        f"{Fraction(gain, 2 * q)} < {Fraction(1, 2 * q)}"
+                    )
+                    violations.append(msg)
+                    if check_progress:
+                        trail.append(entry)
+                        raise PercolationError(msg, tuple(trail))
+            entry["step"] = info
+        trail.append(entry)
+        if not bad or iteration == cap:
+            break
+        iteration += 1
+        prev = closure_mask, influence, score, bad
+        seed_mask, info = _repair(g, partition, q, iteration, seed_mask, closure_mask, bad)
+    if bad and check_progress:
         raise PercolationError(
-            f"bad vertices {sorted(state.bad)} survived {cap} iterations", tuple(trail)
+            f"bad vertices {list(iter_bits(bad))} survived {cap} iterations", tuple(trail)
         )
 
     adj = g.adj
-    closure_mask = bitmask(state.closure)
-    ext_mask = bitmask(state.exterior)
-    e_closure = sum((adj[v] & closure_mask).bit_count() for v in state.closure) // 2
-    e_between = sum((adj[v] & ext_mask).bit_count() for v in state.closure)
-    e_ext = sum((adj[v] & ext_mask).bit_count() for v in state.exterior) // 2
+    e_closure = sum((adj[v] & closure_mask).bit_count() for v in iter_bits(closure_mask)) // 2
+    e_between = sum((adj[v] & ext_mask).bit_count() for v in iter_bits(closure_mask))
+    e_ext = sum((adj[v] & ext_mask).bit_count() for v in iter_bits(ext_mask)) // 2
     e_total = g.edge_count()
     if e_closure + e_between + e_ext != e_total:
         raise PercolationError("edge partition does not add up", tuple(trail))
-    activated = len(state.closure) - len(state.seeds)
-    if state.activation_edges < q * activated:
+    activated = closure_mask.bit_count() - seed_mask.bit_count()
+    if activation_edges < q * activated:
         raise PercolationError("activation edges fall short of q per vertex", tuple(trail))
-    if e_closure < state.activation_edges:
+    if e_closure < activation_edges:
         raise PercolationError("closure has fewer edges than were counted into it", tuple(trail))
-    weight_sum = sum(state.weight_of.values(), Fraction(0))
-    if weight_sum != e_between + e_ext:
+    weight_sum = sum(weight.values())
+    if weight_sum != 2 * q * (e_between + e_ext):
         raise PercolationError("exterior weights do not sum to their edges", tuple(trail))
 
-    certified = not state.bad and not violations
-    bound = q * (g.n - len(state.seeds))
+    certified = not bad and not violations
+    bound = q * (g.n - seed_mask.bit_count())
     if certified:
         # bad is empty, so weight_sum >= q|Y| and the three-way split yields the bound
-        if weight_sum < q * len(state.exterior):
+        if weight_sum < 2 * q * q * ext_mask.bit_count():
             raise PercolationError("exterior weight below q per vertex", tuple(trail))
         if e_total < bound:
             raise PercolationError("certified bound exceeds the actual edge count", tuple(trail))
     return PercolationCertificate(
         q,
         tuple(sorted(seeds)),
-        tuple(sorted(state.seeds)),
-        state.iteration,
+        tuple(iter_bits(seed_mask)),
+        iteration,
         certified,
-        len(state.closure),
-        len(state.exterior),
+        closure_mask.bit_count(),
+        ext_mask.bit_count(),
         e_total,
         e_closure,
         e_between,
         e_ext,
-        state.activation_edges,
+        activation_edges,
         activated,
         bound,
         tuple(violations),

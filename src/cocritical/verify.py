@@ -193,7 +193,9 @@ def is_cocritical(
     twin_of = twin_masks(g)
     non_edges = g.non_edges()
     open_edges = list(non_edges)
-    first: list[int] = []  # block masks of the first leaf: the base witness
+    # the first leaf's block masks, the base witness, kept in a list so that
+    # the 0-vertex graph's one leaf (no blocks) differs from no leaf at all
+    first: list[list[int]] = []
     # non-edge type (the union of its ends' twin classes) -> the first
     # non-edge of that type a leaf settled, and that good partition of g+uv
     settled: dict[int, tuple[Edge, list[int]]] = {}
@@ -202,7 +204,7 @@ def is_cocritical(
     def on_partition(blocks: list[int]) -> bool:
         leaf = list(blocks)  # the walker reuses its list
         if not first:
-            first.extend(leaf)
+            first.append(leaf)
         block_of = [0] * n
         for m in blocks:
             for v in iter_bits(m):
@@ -236,7 +238,7 @@ def is_cocritical(
     if not first:
         # no good base coloring, or none found within the budget
         return CocriticalReport(t, k, len(non_edges), status, None, (), (), True)
-    base_witness = _blocks_to_partition(first, limit)
+    base_witness = _blocks_to_partition(first[0], limit)
     _assert_witness(g, t, k, base_witness)
     checked = non_edges
     if fail_fast and settled:

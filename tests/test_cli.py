@@ -315,6 +315,43 @@ def test_boundary_graphs_exit_cleanly(capsys, tmp_path, command, g6):
         json.loads(out)
 
 
+def test_percolate_rejects_two_graph_sources(capsys):
+    code, out, err = run_cli(
+        capsys, "percolate", "--construct", "4,3,13", "--graph6", "C~", "--q", "3"
+    )
+    assert code == 2 and out == ""
+    assert err == (
+        "error: need exactly one graph source among --construct/--complete/--graph6/--input,"
+        " got ['construct', 'graph6']\n"
+    )
+
+
+def test_percolate_progress_failure_aborts_with_trail(capsys):
+    code, doc = run_json(
+        capsys, "percolate", "--graph6", "E@Q?", "--t", "3", "--k", "2", "--q", "1"
+    )
+    assert code == 1
+    res = doc["results"]
+    assert res["error"] == "iteration 1: bad vertex 2 gained 0 < 1/2"
+    assert len(res["trail"]) == 2
+
+
+def test_percolate_without_progress_check_reports_violations(capsys):
+    code, doc = run_json(
+        capsys,
+        "percolate", "--graph6", "E@Q?", "--t", "3", "--k", "2", "--q", "1",
+        "--no-progress-check",
+    )
+    assert code == 1
+    res = doc["results"]
+    assert res["certified"] is False
+    assert res["progress_violations"] == [
+        "iteration 1: bad vertex 2 gained 0 < 1/2",
+        "iteration 1: bad vertex 3 gained 0 < 1/2",
+    ]
+    assert res["iterations"] == 2 and len(res["trail"]) == 3
+
+
 def test_percolate_bad_seed_names_the_option(capsys):
     code, _, err = run_cli(
         capsys, "percolate", "--construct", "4,3,13", "--q", "3", "--seed", "1,,2"

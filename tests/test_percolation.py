@@ -1,24 +1,17 @@
-"""Bootstrap percolation engine: closure arithmetic, exact rational scores,
-repair-loop invariants, and the certified edge bound on the frozen instances."""
+"""Bootstrap percolation engine: closure arithmetic, the integer bookkeeping in
+units of 1/(2q) against a Fraction oracle, repair-loop invariants, and the
+certified edge bound on the frozen instances."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
+from cocritical.canon import nonisomorphic_graphs
 from cocritical.coloring import BlockPartition, blue_blocks, cross_graph
-from cocritical.construction import ConstructionParams, blueprint_coloring, build
-from cocritical.graphs import complete_graph, cycle_graph, make_graph
-from cocritical.percolation import (
-    PercolationError,
-    closure,
-    influence,
-    make_state,
-    run,
-    score,
-    step,
-    weight,
-)
+from cocritical.construction import ConstructionParams, blueprint_coloring, build, min_order
+from cocritical.graphs import bitmask, complete_graph, cycle_graph, iter_bits, make_graph
+from cocritical.percolation import PercolationError, _measure, closure, run
 
 
 def singletons(n):
@@ -38,41 +31,81 @@ def test_closure_examples():
     assert closure(complete_graph(5), frozenset({0, 1, 2}), 3) == frozenset(range(5))
 
 
+def oracle(g, q, seeds):
+    """omega, f, phi and the bad set straight from the module docstring, in
+    Fractions: closure by plain activation rounds over vertex sets."""
+    nbrs = [set(iter_bits(row)) for row in g.adj]
+    active = set(seeds)
+    while True:
+        newly = {v for v in range(g.n) if v not in active and len(nbrs[v] & active) >= q}
+        if not newly:
+            break
+        active |= newly
+    exterior = set(range(g.n)) - active
+    omega = {v: len(nbrs[v] & active) + Fraction(len(nbrs[v] & exterior), 2) for v in exterior}
+    f = [
+        Fraction(1) if x in seeds
+        else Fraction(1, 2) if x in active
+        else Fraction(len(nbrs[x] & seeds), 2 * q)
+        for x in range(g.n)
+    ]
+    phi = [sum((f[x] for x in nbrs[v]), Fraction(0)) for v in range(g.n)]
+    bad = {v for v in exterior if omega[v] < q}
+    return active, omega, f, phi, bad
+
+
+def unscaled(g, q, seeds):
+    """The module's integer bookkeeping, divided back by 2q."""
+    closure_mask, _, ext_mask, weight, influence, score, bad = _measure(g, q, bitmask(seeds))
+    assert closure_mask | ext_mask == g.vertex_mask and not closure_mask & ext_mask
+    assert set(weight) == set(iter_bits(ext_mask))
+    return (
+        set(iter_bits(closure_mask)),
+        {v: Fraction(w, 2 * q) for v, w in weight.items()},
+        [Fraction(x, 2 * q) for x in influence],
+        [Fraction(x, 2 * q) for x in score],
+        set(iter_bits(bad)),
+    )
+
+
+def test_scaled_bookkeeping_matches_fraction_oracle():
+    checked = 0
+    for n in range(1, 7):
+        for g in nonisomorphic_graphs(n):
+            low = min(range(n), key=lambda v: (g.degree(v), v))
+            for q in (1, 2, 3):
+                for seeds in ({low}, {0, n - 1}):
+                    want = oracle(g, q, seeds)
+                    assert unscaled(g, q, seeds) == want, (g.adj, q, seeds)
+                    _, omega, _, phi, _ = want
+                    assert all(phi[v] <= w for v, w in omega.items())
+                    checked += 1
+    assert checked == 6 * sum(len(nonisomorphic_graphs(n)) for n in range(1, 7))
+
+
 def test_state_exact_fractions_on_c5():
-    g = cycle_graph(5)
-    st = make_state(g, singletons(5), 2, frozenset({0}))
-    assert st.closure == frozenset({0})
-    assert st.exterior == frozenset({1, 2, 3, 4})
+    closed, omega, f, phi, bad = unscaled(cycle_graph(5), 2, {0})
+    assert closed == {0}
+    assert set(omega) == {1, 2, 3, 4}  # seeds carry no weight
     # neighbor of the seed: one closure edge plus one exterior edge
-    assert weight(st, 1) == Fraction(3, 2)
-    assert weight(st, 2) == Fraction(1)  # both neighbors exterior
-    assert st.bad == frozenset({1, 2, 3, 4})
-    assert influence(st, 0) == 1
-    assert influence(st, 1) == Fraction(1, 4)  # one seed neighbor over 2q
-    assert influence(st, 2) == 0
-    assert score(st, 2) == Fraction(1, 4)  # f(1) + f(3)
-    assert score(st, 0) == Fraction(1, 2)
-    with pytest.raises(ValueError):
-        weight(st, 0)  # seeds carry no weight
-
-
-def test_step_requires_bad_vertices():
-    g = complete_graph(4)
-    st = make_state(g, singletons(4), 1, frozenset({0}))
-    assert not st.bad
-    with pytest.raises(ValueError):
-        step(st)
+    assert omega[1] == Fraction(3, 2)
+    assert omega[2] == Fraction(1)  # both neighbors exterior
+    assert bad == {1, 2, 3, 4}
+    assert f[0] == 1
+    assert f[1] == Fraction(1, 4)  # one seed neighbor over 2q
+    assert f[2] == 0
+    assert phi[2] == Fraction(1, 4)  # f(1) + f(3)
+    assert phi[0] == Fraction(1, 2)
 
 
 def test_step_monotone_on_k4():
-    g = complete_graph(4)
-    st = make_state(g, singletons(4), 3, frozenset({0}))
-    assert st.bad == frozenset({1, 2, 3})
-    nxt = step(st)
-    assert nxt.seeds > st.seeds
-    assert nxt.closure >= st.closure
-    assert nxt.bad <= st.bad
-    assert nxt.last_step["trace_count"] == 1
+    trail = run(complete_graph(4), singletons(4), 3).trail
+    before, after = trail[0], trail[1]
+    assert before["bad"] == [1, 2, 3]
+    assert set(after["seeds"]) > set(before["seeds"])
+    assert after["closure_size"] >= before["closure_size"]
+    assert set(after["bad"]) <= set(before["bad"])
+    assert after["step"]["trace_count"] == 1
 
 
 def test_run_on_k4():
@@ -89,6 +122,25 @@ def frozen_instance(t, k, n):
     g = build(p)
     blocks = blue_blocks(blueprint_coloring(p))
     return cross_graph(g, blocks), blocks
+
+
+# (t, k) -> |S|, the final seed count at the paper's threshold q = 2t - 4
+PAPER_THRESHOLD_SEEDS = {
+    (4, 3): 7, (4, 4): 4, (4, 5): 4, (4, 6): 5, (4, 7): 5,
+    (5, 3): 11, (5, 4): 7, (5, 5): 7, (5, 6): 7, (5, 7): 6,
+}
+
+
+@pytest.mark.parametrize("t,k", sorted(PAPER_THRESHOLD_SEEDS))
+def test_paper_threshold_seed_count_stays_fixed(t, k):
+    # e(H) >= (2t - 4)(n - |S|) with |S| independent of n is what makes the
+    # lower bound's constant a constant
+    low = min_order(t, k)
+    for n in range(low, low + 8):
+        H, blocks = frozen_instance(t, k, n)
+        cert = run(H, blocks, 2 * t - 4)
+        assert cert.certified, (t, k, n)
+        assert len(cert.seeds) == PAPER_THRESHOLD_SEEDS[t, k], (t, k, n)
 
 
 def test_certificate_4_3_13():

@@ -292,6 +292,18 @@ def test_no_base_coloring():
     assert report.base_status == "exhausted" and report.base_witness is None
 
 
+def test_empty_graph_reports_its_empty_base_witness():
+    # the 0-vertex graph has one good partition, the empty one: the report
+    # must carry it rather than read its one leaf as "no leaf"
+    g = empty_graph(0)
+    report = is_cocritical(g, 3, 3)
+    base = exists_critical_coloring(g, 3, 3)
+    assert report.base_status == base.status == FOUND
+    assert report.base_witness is not None
+    assert report.base_witness == base.witness
+    assert report.verdict() == NOT_CO_CRITICAL
+
+
 def test_budget_indeterminate():
     g = build(ConstructionParams(4, 3, 13))
     report = is_cocritical(g, 4, 3, SearchBudget(node_cap=10))
