@@ -254,7 +254,7 @@ def cmd_percolate(args) -> int:
         except NoCriticalColoringError:
             _emit(
                 "percolate",
-                {**source, "q": args.q},
+                {**source, "q": args.q, "seed": args.seed},
                 {"error": "graph admits no good coloring"},
                 {"total_ms": (time.perf_counter() - t0) * 1000},
             )

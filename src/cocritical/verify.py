@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .canon import nonisomorphic_graphs
+from .canon import iter_classes
 from .coloring import (
     BlockPartition,
     EdgeColoring,
@@ -567,7 +567,7 @@ def min_cocritical_search(
     witnesses: list[Graph] = []
     indeterminate: list[tuple[Graph, int]] = []
     examined = 0
-    for g in nonisomorphic_graphs(n):
+    for g in iter_classes(n):
         e = g.edge_count()
         if minimum is not None and e > minimum:
             break

@@ -140,6 +140,19 @@ def test_percolate_without_coloring(capsys):
     assert "error" in doc["results"]
 
 
+def test_percolate_inputs_name_the_seed_on_every_path(capsys):
+    code, doc = run_json(
+        capsys, "percolate", "--complete", "5", "--t", "3", "--k", "3", "--q", "2"
+    )
+    assert code == 1 and "error" in doc["results"]
+    assert doc["inputs"] == {"complete": 5, "q": 2, "seed": None}
+    code, doc = run_json(
+        capsys, "percolate", "--graph6", "C~", "--t", "3", "--k", "3", "--q", "2", "--seed", "0"
+    )
+    assert code == 0 and doc["results"]["certified"]
+    assert doc["inputs"] == {"graph6": "C~", "q": 2, "seed": "0"}
+
+
 def test_minsearch(capsys):
     code, doc = run_json(capsys, "minsearch", "--t", "3", "--k", "3", "--n", "5")
     assert code == 0

@@ -437,7 +437,7 @@ def test_min_search_checks_parameters_before_generating(monkeypatch):
     def unreachable(n):
         raise AssertionError("generation reached with bad parameters")
 
-    monkeypatch.setattr(verify, "nonisomorphic_graphs", unreachable)
+    monkeypatch.setattr(verify, "iter_classes", unreachable)
     for (t, k, n), name in (((1, 3, 7), "t"), ((3, 1, 7), "k"), ((3, 3, 0), "n"), ((3, 3, 9), "n")):
         with pytest.raises(ValueError, match=f"^{name} must"):
             min_cocritical_search(t, k, n)
