@@ -39,14 +39,14 @@ def _emit_order(n: int) -> list[int]:
 def parse_graph6(text: str) -> Graph:
     s = text.rstrip("\r\n")
     if not s:
-        raise ValueError("empty graph6 string")
+        raise ValueError("byte 0: empty graph6 string")
     data = [ord(c) for c in s]
     for off, c in enumerate(data):
         if not 63 <= c <= 126:
             raise ValueError(f"byte {off}: character {c!r} outside graph6 range")
     n, body_start = _parse_order(data)
     if n > MAX_ORDER:
-        raise ValueError(f"graph order {n} exceeds cap {MAX_ORDER}")
+        raise ValueError(f"byte 1: graph order {n} exceeds cap {MAX_ORDER}")
     nbits = n * (n - 1) // 2
     expect = body_start + (nbits + 5) // 6
     if len(data) != expect:

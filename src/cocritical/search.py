@@ -14,6 +14,16 @@ crossed edge, which keeps the pruning test local and cheap.  Cross edges only
 accumulate along a branch, so pruning is monotone-safe and a completed walk is
 a proof of exhaustion.
 
+Three rules prune the walk, each argued in _walk_partitions:
+
+- the clique test: a placement whose new cross edges close a K_t is dropped;
+- the forced-merge lookahead, always on: a placement that forces more than
+  k-1 unplaced vertices into one block is dropped.  It cuts only subtrees
+  without a leaf, so every search visits the same leaves in the same order;
+- the twin rule, only in the co-criticality walk (verify.is_cocritical): of
+  partitions that differ by permuting twins, only the lex-leader is kept.
+  The standalone searches here visit every good partition.
+
 Budgets cap tree nodes and wall time; outcomes say whether the space was
 exhausted or the budget ran out, and an `arrows` query that dies on budget
 raises instead of guessing.  The brute-force routines scan all 2^e colorings
@@ -24,6 +34,7 @@ share no code with it on purpose.
 from __future__ import annotations
 
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import combinations, product
 
@@ -31,17 +42,13 @@ from .coloring import (
     BlockPartition,
     EdgeColoring,
     check_parameters,
-    cross_graph,
     is_critical,
     make_coloring,
 )
 from .graphs import (
     Graph,
     _clique_rec,
-    bitmask,
     enumerate_cliques,
-    has_clique,
-    is_connected_mask,
     iter_bits,
 )
 
@@ -117,6 +124,24 @@ def _walk_partitions(g: Graph, t: int, k: int, budget: SearchBudget, on_partitio
     the rest, its other t - 2 vertices lie in earlier blocks, and uw is its
     only new edge.  The test of uw on cross[u] & cross[w] therefore finds it
     whatever order the new edges go in.
+
+    Lookahead.  Once a placement closes no K_t, the walk looks at each
+    adjacent pair w, x of unplaced vertices.  Every edge from an unplaced
+    vertex to a placed one is already final: the placed vertex's block is
+    complete and does not hold the unplaced one, so the edge crosses in every
+    leaf below, and so do the cross edges among placed vertices.  If
+    cross[w] & cross[x] holds a K_{t-2}, a red wx would close a K_t, so every
+    leaf below puts w and x in one block.  Sharing a block is an equivalence
+    relation, so each group of the union of these forced pairs lies inside
+    one block of every leaf below.  A group of more than k - 1 vertices
+    leaves no leaf below: the block is counted as a node but not placed, and
+    grow still extends it, since a larger block may take a group in.  The
+    rule cuts only subtrees that hold no leaf, so the walk visits the same
+    leaves in the same order with or without it, and every walk-order
+    argument (the twin rule below, the first leaf, fail_fast's first
+    settling leaf, the max-red tie-break) holds unchanged.  A group lies
+    inside the rest, so the check is skipped when the rest has at most k - 1
+    vertices.
 
     lower_twins, when given, holds per vertex the mask of its twins
     (graphs.twin_classes) with smaller ids, and the walk keeps only the
@@ -212,6 +237,30 @@ def _walk_partitions(g: Graph, t: int, k: int, budget: SearchBudget, on_partitio
                 cross[w] |= u_bit
                 if _clique_rec(cross, cross[u] & cross[w], need):
                     return
+        if rest.bit_count() > limit:
+            # the lookahead: group[v] is v's forced group, when v has one
+            group = {}
+            wm = rest
+            while wm:
+                w_bit = wm & -wm
+                wm ^= w_bit
+                w = w_bit.bit_length() - 1
+                xs = adj[w] & wm
+                while xs:
+                    x_bit = xs & -xs
+                    xs ^= x_bit
+                    x = x_bit.bit_length() - 1
+                    if _clique_rec(cross, cross[w] & cross[x], need):
+                        gw = group.get(w, w_bit)
+                        if not gw & x_bit:
+                            merged = gw | group.get(x, x_bit)
+                            if merged.bit_count() > limit:
+                                return
+                            ym = merged
+                            while ym:
+                                y_bit = ym & -ym
+                                ym ^= y_bit
+                                group[y_bit.bit_length() - 1] = merged
         blocks.append(block)
         place(rest, cross)
         blocks.pop()
@@ -234,30 +283,52 @@ def _blocks_to_partition(block_masks: list[int], max_block: int) -> BlockPartiti
     )
 
 
-def _assert_witness(g: Graph, t: int, k: int, p: BlockPartition) -> None:
-    # independent re-validation of what the walker promised
-    for b in p.blocks:
-        if len(b) > k - 1:
+def _assert_witness(rows: Sequence[int], t: int, k: int, blocks: Sequence[int]) -> None:
+    """Re-check, independently of the walker, that the block masks form a good
+    partition of the graph with adjacency rows `rows`: the blocks cover the
+    vertices once, each has at most k-1 vertices and is connected, and the
+    cross graph (rows without within-block edges) holds no K_t."""
+    cross = list(rows)
+    covered = 0
+    for block in blocks:
+        if block & covered:
+            raise AssertionError("witness blocks overlap")
+        covered |= block
+        if block.bit_count() > k - 1:
             raise AssertionError("witness block too large")
-        if not is_connected_mask(g, bitmask(b)):
+        # search the block from its lowest vertex, dropping within-block
+        # edges from each row reached
+        reach = todo = block & -block
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            v = low.bit_length() - 1
+            found = rows[v] & block & ~reach
+            reach |= found
+            todo |= found
+            cross[v] &= ~block
+        if not block or reach != block:
             raise AssertionError("witness block not connected")
-    if has_clique(cross_graph(g, p), t):
+    if covered != (1 << len(rows)) - 1:
+        raise AssertionError("witness blocks do not cover the vertices")
+    if _clique_rec(cross, covered, t):
         raise AssertionError("witness cross graph has a forbidden clique")
 
 
 def exists_critical_coloring(g: Graph, t: int, k: int, budget: SearchBudget | None = None) -> SearchOutcome:
     """Decide whether g admits a good coloring; found outcomes carry a partition."""
     budget = budget or SearchBudget()
-    holder: list[BlockPartition] = []
+    holder: list[list[int]] = []
 
     def on_partition(blocks: list[int]) -> bool:
-        holder.append(_blocks_to_partition(blocks, k - 1))
+        holder.append(list(blocks))
         return True
 
     status, nodes, millis = _walk_partitions(g, t, k, budget, on_partition)
-    witness = holder[0] if holder else None
-    if witness is not None:
-        _assert_witness(g, t, k, witness)
+    witness = None
+    if holder:
+        _assert_witness(g.adj, t, k, holder[0])
+        witness = _blocks_to_partition(holder[0], k - 1)
     return SearchOutcome(status, witness, nodes, millis)
 
 

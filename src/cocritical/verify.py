@@ -40,7 +40,6 @@ from .construction import block_edge_lower_bound
 from .graphs import (
     Graph,
     _clique_rec,
-    add_edge,
     bitmask,
     clique_in_mask,
     components,
@@ -238,8 +237,8 @@ def is_cocritical(
     if not first:
         # no good base coloring, or none found within the budget
         return CocriticalReport(t, k, len(non_edges), status, None, (), (), True)
+    _assert_witness(adj, t, k, first[0])
     base_witness = _blocks_to_partition(first[0], limit)
-    _assert_witness(g, t, k, base_witness)
     checked = non_edges
     if fail_fast and settled:
         # the one settling leaf tested in non_edges order: its first hit
@@ -251,7 +250,11 @@ def is_cocritical(
             source, witness = hit
             if source != e:
                 witness = _twin_image(witness, source, e, twin_of)
-            _assert_witness(add_edge(g, *e), t, k, _blocks_to_partition(witness, limit))
+            u, v = e
+            plus = list(adj)
+            plus[u] |= 1 << v
+            plus[v] |= 1 << u
+            _assert_witness(plus, t, k, witness)
             failures.append((e, STILL_COLORABLE))
         elif status == BUDGET_EXCEEDED:
             failures.append((e, BUDGET))

@@ -106,7 +106,7 @@ def test_arrows_true_false(capsys):
 def test_arrows_budget(capsys):
     code, doc = run_json(
         capsys,
-        "arrows", "--complete", "7", "--t", "4", "--k", "3", "--node-cap", "50",
+        "arrows", "--complete", "7", "--t", "4", "--k", "3", "--node-cap", "20",
     )
     assert code == 3
     assert doc["results"]["arrows"] is None

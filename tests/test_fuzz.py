@@ -1,0 +1,111 @@
+"""Property-based fuzzing of the input boundary: the graph6 parser and the
+command line options that take free text.
+
+Bad input must come back as a located ValueError from the parser, and as
+exit code 2 with an `error:` line (never a traceback) from the command line.
+Examples are derandomized so that the suite stays deterministic.
+"""
+
+import re
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import HealthCheck, given, settings, strategies as st  # noqa: E402
+
+from cocritical import cli  # noqa: E402
+from cocritical.construction import min_order  # noqa: E402
+from cocritical.graph6 import emit_graph6, parse_graph6  # noqa: E402
+from cocritical.graphs import make_graph  # noqa: E402
+
+FUZZ = settings(
+    max_examples=150,
+    derandomize=True,
+    database=None,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+
+
+@st.composite
+def near_graph6(draw):
+    """The graph6 line of a graph on 0..70 vertices (long form from 63 on),
+    then perhaps one byte replaced by any byte, the line cut, or a byte
+    appended."""
+    n = draw(st.integers(0, 70))
+    ends = st.integers(0, max(n - 1, 0))
+    pairs = draw(st.sets(st.tuples(ends, ends), max_size=30))
+    line = bytearray(emit_graph6(make_graph(n, {(u, v) for u, v in pairs if u < v})).encode())
+    change = draw(st.sampled_from(("none", "replace", "cut", "append")))
+    if change == "replace":
+        line[draw(st.integers(0, len(line) - 1))] = draw(st.integers(0, 255))
+    elif change == "cut":
+        del line[draw(st.integers(0, len(line) - 1)) :]
+    elif change == "append":
+        line.append(draw(st.integers(0, 255)))
+    return bytes(line)
+
+
+@FUZZ
+@given(st.one_of(st.binary(max_size=40), near_graph6()))
+def test_parse_graph6_parses_or_names_a_byte(data):
+    text = data.decode("latin-1")
+    try:
+        g = parse_graph6(text)
+    except ValueError as exc:
+        assert re.match(r"byte \d+: ", str(exc)), str(exc)
+    else:
+        assert parse_graph6(emit_graph6(g)) == g
+
+
+def joined(part):
+    return st.lists(part, max_size=4).map(",".join)
+
+
+SMALL_INT = st.integers(-2, 20).map(str)
+NOISE = st.one_of(st.integers().map(str), st.floats().map(repr), st.text(max_size=12))
+# near-valid values come up about as often as noise does: for --construct,
+# T,K,N with N near the construction's smallest order (t, k = 2 included)
+CONSTRUCT = st.one_of(
+    st.tuples(st.integers(2, 6), st.integers(2, 6), st.integers(-2, 4)).map(
+        lambda tkd: f"{tkd[0]},{tkd[1]},{min_order(*tkd[:2]) + tkd[2]}"
+    ),
+    joined(st.one_of(SMALL_INT, NOISE)),
+)
+SEED = st.one_of(joined(SMALL_INT), joined(NOISE))
+NODE_CAP = st.one_of(st.integers(-3, 10**6).map(str), NOISE)
+TIME_CAP = st.one_of(st.integers(-3, 100).map(str), NOISE)
+
+
+def exit_code(capsys, argv):
+    """Exit code of cli.main on argv, checking the usage-error contract."""
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:  # argparse rejects the option itself
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2, 3), (argv, code)
+    assert "Traceback" not in err, argv
+    if code == 2:
+        assert "error:" in err, (argv, err)
+    return code
+
+
+@FUZZ
+@given(CONSTRUCT)
+def test_construct_option(capsys, text):
+    # percolate builds the construction and its blueprint without a search
+    exit_code(capsys, ["percolate", f"--construct={text}", "--q", "3"])
+
+
+@FUZZ
+@given(SEED)
+def test_seed_option(capsys, text):
+    exit_code(capsys, ["percolate", "--construct", "4,3,13", "--q", "3", f"--seed={text}"])
+
+
+@FUZZ
+@given(NODE_CAP, TIME_CAP)
+def test_budget_options(capsys, node_cap, time_cap):
+    argv = ["arrows", "--complete", "6", "--t", "4", "--k", "3"]
+    exit_code(capsys, [*argv, f"--node-cap={node_cap}", f"--time-cap={time_cap}"])

@@ -1,5 +1,6 @@
-"""Partition-walking search against the independent 2^e brute-force oracle,
-plus the arrowing thresholds it must reproduce."""
+"""Partition-walking search against the independent 2^e brute-force oracle
+and against a test-local walk without the forced-merge lookahead, plus the
+arrowing thresholds it must reproduce."""
 
 import random
 
@@ -15,7 +16,16 @@ from cocritical.coloring import (
     partition_to_coloring,
 )
 from cocritical.construction import ConstructionParams, build
-from cocritical.graphs import complete_graph, has_clique, is_connected_mask, bitmask, make_graph
+from cocritical.graphs import (
+    _clique_rec,
+    bitmask,
+    complete_graph,
+    has_clique,
+    is_connected_mask,
+    iter_bits,
+    make_graph,
+    twin_masks,
+)
 from cocritical.search import (
     BUDGET_EXCEEDED,
     EXHAUSTED,
@@ -23,6 +33,7 @@ from cocritical.search import (
     IndeterminateResultError,
     NoCriticalColoringError,
     SearchBudget,
+    _assert_witness,
     arrows,
     brute_force_critical_colorings,
     brute_force_exists,
@@ -136,13 +147,30 @@ def test_max_red_minimizes_blue():
 
 
 def test_budget_statuses():
+    # the whole walk of K_7 takes 43 nodes
     g = complete_graph(7)
-    outcome = exists_critical_coloring(g, 4, 3, SearchBudget(node_cap=50))
+    outcome = exists_critical_coloring(g, 4, 3, SearchBudget(node_cap=20))
     assert outcome.status == BUDGET_EXCEEDED
     assert outcome.witness is None
-    assert outcome.nodes <= 51  # the node that trips the cap is counted
+    assert outcome.nodes <= 21  # the node that trips the cap is counted
     with pytest.raises(IndeterminateResultError):
-        arrows(g, 4, 3, SearchBudget(node_cap=50))
+        arrows(g, 4, 3, SearchBudget(node_cap=20))
+
+
+def test_assert_witness_rejects_each_bad_witness():
+    # K_4 minus the edge 03, for (t, k) = (3, 3): blocks of at most 2 vertices
+    rows = make_graph(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)]).adj
+    _assert_witness(rows, 3, 3, [0b0011, 0b1100])  # cross edges 02, 12, 13
+    bad = (
+        ([0b0111, 0b1000], "block too large"),
+        ([0b1001, 0b0110], "block not connected"),
+        ([0b0001, 0b0010, 0b0100, 0b1000], "forbidden clique"),  # red 012
+        ([0b0011, 0b0110, 0b1000], "blocks overlap"),
+        ([0b0011], "do not cover"),
+    )
+    for blocks, message in bad:
+        with pytest.raises(AssertionError, match=message):
+            _assert_witness(rows, 3, 3, blocks)
 
 
 def test_budget_validation():
@@ -281,3 +309,115 @@ def test_walk_stops_at_the_leaf_that_asks():
                 assert status == FOUND and len(calls) == j
                 stopped += 1
     assert stopped > 100
+
+
+def lower_twins(g):
+    """Per vertex, the mask of its twins with smaller ids."""
+    return [m & ((1 << v) - 1) for v, m in enumerate(twin_masks(g))]
+
+
+def ruleless_walk(g, t, k, on_partition, lower_twins=None):
+    """The partition walk without the forced-merge lookahead, as a test-local
+    oracle: blocks grown in the same order, the clique test on new cross
+    edges and the twin rule, and nothing else.  Returns (status, nodes)."""
+    adj, limit, need = g.adj, k - 1, t - 2
+    has_lower = 0 if lower_twins is None else sum(1 << v for v, m in enumerate(lower_twins) if m)
+    blocks = []
+    nodes = 0
+
+    class Stop(Exception):
+        pass
+
+    def place(unassigned, cross):
+        if unassigned == 0:
+            if on_partition(blocks):
+                raise Stop
+            return
+        v0_bit = unassigned & -unassigned
+        grow(v0_bit, adj[v0_bit.bit_length() - 1], 0, unassigned, cross)
+
+    def grow(block, reach, forbidden, unassigned, cross):
+        attempt(block, unassigned, cross)
+        if block.bit_count() == limit:
+            return
+        cand = reach & unassigned & ~block & ~forbidden
+        used = 0
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            grow(block | low, reach | adj[low.bit_length() - 1], forbidden | used, unassigned, cross)
+            used |= low
+
+    def attempt(block, unassigned, cross):
+        nonlocal nodes
+        nodes += 1
+        rest = unassigned & ~block
+        for w in iter_bits(block & has_lower):
+            if lower_twins[w] & rest:
+                return
+        cross = cross[:]
+        for u in iter_bits(block):
+            for w in iter_bits(adj[u] & rest):
+                cross[u] |= 1 << w
+                cross[w] |= 1 << u
+                if _clique_rec(cross, cross[u] & cross[w], need):
+                    return
+        blocks.append(block)
+        place(rest, cross)
+        blocks.pop()
+
+    try:
+        place(g.vertex_mask, [0] * g.n)
+    except Stop:
+        return FOUND, nodes
+    return EXHAUSTED, nodes
+
+
+def leaf_sequences(g, t, k, twins):
+    """(status, leaves) of the walk and of the ruleless oracle, in walk order,
+    and the node counts of both."""
+    lower = lower_twins(g) if twins else None
+    got, want = [], []
+    status, nodes, _ = _walk_partitions(
+        g, t, k, SearchBudget(), lambda blocks: got.append(tuple(blocks)), lower_twins=lower
+    )
+    oracle_status, oracle_nodes = ruleless_walk(
+        g, t, k, lambda blocks: want.append(tuple(blocks)), lower
+    )
+    return (status, got), (oracle_status, want), nodes, oracle_nodes
+
+
+def test_lookahead_keeps_the_leaf_sequence():
+    # the lookahead cuts only subtrees without a leaf: every class on 1-7
+    # vertices gives the oracle's leaves in the oracle's order
+    cut = 0
+    for n in range(1, 8):
+        for g in nonisomorphic_graphs(n):
+            for t, k in PAIRS:
+                for twins in (False, True):
+                    mine, oracle, nodes, oracle_nodes = leaf_sequences(g, t, k, twins)
+                    assert mine == oracle, (g.adj, t, k, twins)
+                    assert nodes <= oracle_nodes
+                    cut += oracle_nodes - nodes
+    assert cut > 0
+
+
+@pytest.mark.parametrize(
+    "t, k, n, twins, oracle_nodes",
+    [
+        (4, 3, 13, False, 306),
+        (4, 3, 13, True, 306),
+        (5, 3, 17, False, 42522),
+        (5, 3, 17, True, 42522),
+        (4, 4, 18, False, 97761),
+        (4, 4, 18, True, 27428),
+    ],
+)
+def test_lookahead_keeps_frozen_leaf_sequences(t, k, n, twins, oracle_nodes):
+    # the oracle's node counts are the walk sizes from before the lookahead;
+    # the walk's own are pinned in tests/test_verify.py
+    mine, oracle, nodes, got_oracle_nodes = leaf_sequences(
+        build(ConstructionParams(t, k, n)), t, k, twins
+    )
+    assert mine == oracle and mine[1]
+    assert got_oracle_nodes == oracle_nodes and nodes < oracle_nodes

@@ -2,7 +2,7 @@
 exhaustive minimum search."""
 
 import pytest
-from test_search import FROZEN_MAX_RED_BLUE
+from test_search import FROZEN_MAX_RED_BLUE, lower_twins
 
 from cocritical import cli, search, verify
 from cocritical.canon import nonisomorphic_graphs
@@ -22,7 +22,6 @@ from cocritical.search import (
     FOUND,
     SearchBudget,
     _assert_witness,
-    _blocks_to_partition,
     _walk_partitions,
     enumerate_critical_colorings,
     exists_critical_coloring,
@@ -142,7 +141,7 @@ def test_coloring_only_on_full_cocritical_reports():
         is_cocritical(complete_graph(4), 3, 3),
         is_cocritical(complete_graph(5), 3, 3),
         is_cocritical(g, 4, 3, SearchBudget(node_cap=10)),
-        is_cocritical(build(ConstructionParams(4, 4, 18)), 4, 4, SearchBudget(node_cap=20000)),
+        is_cocritical(build(ConstructionParams(4, 4, 18)), 4, 4, SearchBudget(node_cap=1000)),
     )
     for report in others:
         assert not report.is_cocritical and report.coloring is None
@@ -174,10 +173,6 @@ def _leaves(g, t, k, lower_twins=None):
     return leaves
 
 
-def _lower_twins(g):
-    return [m & ((1 << v) - 1) for v, m in enumerate(twin_masks(g))]
-
-
 def test_twin_rule_keeps_one_leaf_per_orbit_in_walk_order():
     # the pruned walk visits exactly the rule-obeying leaves of the full walk,
     # in the same order, and every leaf of the full walk has a twin image
@@ -194,7 +189,7 @@ def test_twin_rule_keeps_one_leaf_per_orbit_in_walk_order():
     for n in range(2, 7):
         for g in nonisomorphic_graphs(n):
             class_of = {v: i for i, c in enumerate(twin_classes(g)) for v in c}
-            lower = _lower_twins(g)
+            lower = lower_twins(g)
 
             def orbit(leaf):
                 counts = []
@@ -232,18 +227,20 @@ def test_twin_image_maps_witnesses_within_a_type():
                     kind = twin_of[e0[0]] | twin_of[e0[1]]
                     for e in g.non_edges():
                         if e != e0 and twin_of[e[0]] | twin_of[e[1]] == kind:
-                            image = _blocks_to_partition(_twin_image(source, e0, e, twin_of), k - 1)
-                            _assert_witness(add_edge(g, *e), t, k, image)
+                            image = _twin_image(source, e0, e, twin_of)
+                            _assert_witness(add_edge(g, *e).adj, t, k, image)
                             mapped += 1
     assert mapped > 1000
 
 
 @pytest.mark.parametrize(
     "t, k, n, pruned, full",
-    [(4, 3, 13, 306, 306), (5, 3, 17, 42522, 42522), (4, 4, 18, 27428, 97761)],
+    [(4, 3, 13, 65, 65), (5, 3, 17, 696, 696), (4, 4, 18, 1862, 3562)],
 )
 def test_twin_rule_walk_sizes(t, k, n, pruned, full):
-    # the twin pairs of (4,3,13) and (5,3,17) never trigger the rule
+    # both walks have the lookahead (the walk without it is pinned in
+    # tests/test_search.py); the twin pairs of (4,3,13) and (5,3,17) never
+    # trigger the twin rule
     g = build(ConstructionParams(t, k, n))
     report = is_cocritical(g, t, k)
     assert {nodes for _, nodes, _ in report.per_edge_stats} == {pruned}
@@ -252,7 +249,9 @@ def test_twin_rule_walk_sizes(t, k, n, pruned, full):
 
 
 def test_twin_rule_only_in_cocriticality_walk(monkeypatch):
-    # the other searches keep the full walk, so they stay independent oracles
+    # the standalone searches walk without the twin rule (with the
+    # lookahead, which keeps every leaf), so they stay independent oracles
+    # of it
     seen = []
 
     def recording_walk(*args, lower_twins=None, **kwargs):
@@ -268,7 +267,7 @@ def test_twin_rule_only_in_cocriticality_walk(monkeypatch):
     max_red_critical_coloring(g, 3, 3)
     assert seen == [None, None, None]
     is_cocritical(g, 3, 3)
-    assert seen[3] == _lower_twins(g)
+    assert seen[3] == lower_twins(g)
 
 
 def test_complete_graph_is_never_cocritical():
@@ -311,11 +310,14 @@ def test_budget_indeterminate():
 
 
 def test_budget_runs_out_mid_walk():
-    # the first leaf (the base witness) comes at 5,671 nodes; the cap then
-    # stops the one walk with every non-edge still open
+    # the first leaf (the base witness) comes at 223 nodes, 181 with the
+    # twin rule, and the pruned walk takes 1,862 (test_twin_rule_walk_sizes);
+    # the cap stops the one walk in between with every non-edge still open
     g = build(ConstructionParams(4, 4, 18))
-    assert exists_critical_coloring(g, 4, 4).nodes == 5671
-    report = is_cocritical(g, 4, 4, SearchBudget(node_cap=20000))
+    assert exists_critical_coloring(g, 4, 4).nodes == 223
+    first = _walk_partitions(g, 4, 4, SearchBudget(), lambda blocks: True, lower_twins=lower_twins(g))
+    assert first[:2] == (FOUND, 181)
+    report = is_cocritical(g, 4, 4, SearchBudget(node_cap=1000))
     assert report.base_status == FOUND and report.base_witness is not None
     assert report.failures == tuple((e, BUDGET) for e in g.non_edges())
     assert len(report.failures) == 66
