@@ -24,11 +24,21 @@ Three rules prune the walk, each argued in _walk_partitions:
   partitions that differ by permuting twins, only the lex-leader is kept.
   The standalone searches here visit every good partition.
 
+A leaf's good colorings are its good refinements: blue edge sets inside the
+blocks that connect each block and leave no red K_t.  One generator,
+_good_refinements, yields them lazily in (len(blue), blue) order, each with
+fewer blue edges than an optional bound, and raises the budget exception
+once the caller's time cap runs out.  max_red_critical_coloring and the
+fold in verify.is_cocritical take its first item per leaf;
+enumerate_critical_colorings takes every item.
+
 Budgets cap tree nodes and wall time; outcomes say whether the space was
 exhausted or the budget ran out, and an `arrows` query that dies on budget
-raises instead of guessing.  The brute-force routines scan all 2^e colorings
-directly and exist to cross-check the partition search on small inputs; they
-share no code with it on purpose.
+raises instead of guessing.  The walk reads the clock at its first node and
+every 1,024 nodes after it, the leaf step at each of its own nodes.  The
+brute-force routines scan all 2^e colorings directly and exist to
+cross-check the partition search on small inputs; they share no code with
+it on purpose.
 """
 
 from __future__ import annotations
@@ -36,7 +46,7 @@ from __future__ import annotations
 import time
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations
 
 from .coloring import (
     BlockPartition,
@@ -213,7 +223,7 @@ def _walk_partitions(g: Graph, t: int, k: int, budget: SearchBudget, on_partitio
         nodes += 1
         if nodes > node_cap:
             raise _BudgetHit
-        if not nodes & 1023 and time.perf_counter() > deadline:
+        if nodes & 1023 == 1 and time.perf_counter() > deadline:
             raise _BudgetHit
         rest = unassigned & ~block
         twins = block & has_lower
@@ -348,73 +358,81 @@ def arrows(g: Graph, t: int, k: int, budget: SearchBudget | None = None) -> bool
 # --- refinements of a partition into explicit colorings ---------------------
 
 
-def _spanning_connected_subsets(g: Graph, block_mask: int) -> list[tuple[tuple[int, int], ...]]:
-    """Edge subsets inside the block that connect all its vertices, ordered by
-    (size, lexicographic edge tuple)."""
-    verts = list(iter_bits(block_mask))
-    if len(verts) == 1:
-        return [()]
-    inner = [
-        ((u, v), 1 << u | 1 << v)
-        for i, u in enumerate(verts)
-        for v in verts[i + 1 :]
-        if g.adj[u] >> v & 1
-    ]
-    out = []
-    for size in range(len(verts) - 1, len(inner) + 1):
-        for combo in combinations(inner, size):
-            # grow the component of the lowest vertex by whole edge masks
-            reach = block_mask & -block_mask
-            grew = True
-            while grew:
-                grew = False
-                for _, ends in combo:
-                    if reach & ends and ends & ~reach:
-                        reach |= ends
-                        grew = True
-            if reach == block_mask:
-                out.append(tuple(edge for edge, _ in combo))
-    return out
+def _good_refinements(g: Graph, t: int, blocks: list[int], below: int | None = None, deadline: float = float("inf")):
+    """Yield the good refinements of a leaf lazily, in (len(blue), blue) order,
+    each with fewer than `below` blue edges (no limit when None).
 
+    blocks is a leaf of the walk: connected blocks that cover the vertices
+    and whose cross edges hold no K_t.  A good refinement is a blue edge set
+    inside the blocks that connects each block and leaves no red K_t; its
+    blue components are exactly the blocks.  Each is a sorted tuple of (u, v)
+    edges with u < v.  A block needs |B| - 1 blue edges to hold together and
+    the blocks cover all n vertices, so the sizes L run upwards from
+    n - len(blocks).
 
-def _refinements(g: Graph, blocks: list[int]) -> list[tuple[tuple[int, int], ...]]:
-    """Blue edge sets of the colorings whose blue components are exactly the
-    blocks: one spanning connected subset per block, joined as a sorted tuple."""
-    per_block = [_spanning_connected_subsets(g, m) for m in blocks]
-    return [tuple(sorted(e for part in combo for e in part)) for combo in product(*per_block)]
+    For each L a depth-first search decides the within-block edges in
+    ascending order, trying include before exclude.  Among sets of one size
+    that is lexicographic order: every set holding the first edge comes
+    before every set without it, and so on down the edges.  A branch is cut
+    when it cannot reach L edges, when some K_t of g has no chosen or
+    undecided within-block edge left, so that it ends red, or when some
+    block can no longer be connected through its chosen and undecided edges.
+    A cut drops only subtrees without a good refinement of size L, so the
+    items come in exactly the order of the sorted, filtered refinement
+    product, and the first one is the least good refinement in
+    (len(blue), blue) order.
 
+    Both tests run when an edge uv is excluded, since only the K_t through uv
+    and uv's own block can lose their last way out.  red holds the cross
+    edges and the excluded ones; a K_t with no chosen or undecided edge is a
+    K_t of red, and a new one holds uv, so it is found on red[u] & red[v] as
+    in the walk's clique test.
 
-def _red_clique_free(g: Graph, blue: tuple[tuple[int, int], ...], t: int) -> bool:
-    """Does g minus the blue edges hold no clique on t vertices?
-
-    The red graph of make_coloring(g, blue) is exactly g minus blue, so this
-    answers `not has_clique(make_coloring(g, blue).red_graph(), t)` on int
-    adjacency rows, without building the coloring.
+    Raises _BudgetHit once time.perf_counter() passes deadline, which the
+    walk reports as BUDGET_EXCEEDED.
     """
-    rows = list(g.adj)
-    for u, v in blue:
-        rows[u] &= ~(1 << v)
-        rows[v] &= ~(1 << u)
-    return not _clique_rec(rows, g.vertex_mask, t)
+    if below is not None and g.n - len(blocks) >= below:
+        return  # skip the set-up: no refinement is small enough
+    adj = g.adj
+    block_of = [0] * g.n
+    for m in blocks:
+        for v in iter_bits(m):
+            block_of[v] = m
+    red = [adj[v] & ~block_of[v] for v in range(g.n)]
+    edges = [(u, v) for u in range(g.n) for v in iter_bits(adj[u] & block_of[u]) if u < v]
 
+    def connected(block: int) -> bool:
+        reach = todo = block & -block
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            v = low.bit_length() - 1
+            found = adj[v] & block & ~red[v] & ~reach
+            reach |= found
+            todo |= found
+        return reach == block
 
-def _fewer_blue(
-    g: Graph, t: int, blocks: list[int], count: int | None
-) -> tuple[tuple[int, int], ...] | None:
-    """The first refinement of a leaf, in (len(blue), blue) order, with fewer
-    than count blue edges (no limit when None) and no red K_t, else None.
+    def fill(i: int, need: int):
+        # edges below i are decided, and need more of the rest are to be blue
+        if time.perf_counter() > deadline:
+            raise _BudgetHit
+        if i == len(edges):
+            yield tuple((u, v) for u, v in edges if not red[u] >> v & 1)
+            return
+        if need:
+            yield from fill(i + 1, need - 1)
+        if len(edges) - i > need:
+            u, v = edges[i]
+            red[u] |= 1 << v
+            red[v] |= 1 << u
+            if not _clique_rec(red, red[u] & red[v], t - 2) and connected(block_of[u]):
+                yield from fill(i + 1, need)
+            red[u] ^= 1 << v
+            red[v] ^= 1 << u
 
-    A block needs |B| - 1 blue edges to hold together and a leaf's blocks
-    cover all n vertices, so every refinement has at least n - len(blocks).
-    """
-    if count is not None and g.n - len(blocks) >= count:
-        return None
-    for blue in sorted(_refinements(g, blocks), key=lambda blue: (len(blue), blue)):
-        if count is not None and len(blue) >= count:
-            return None
-        if _red_clique_free(g, blue, t):
-            return blue
-    return None
+    top = len(edges) if below is None else min(len(edges), below - 1)
+    for size in range(g.n - len(blocks), top + 1):
+        yield from fill(0, size)
 
 
 def enumerate_critical_colorings(g: Graph, t: int, k: int, budget: SearchBudget | None = None) -> list[EdgeColoring]:
@@ -422,18 +440,17 @@ def enumerate_critical_colorings(g: Graph, t: int, k: int, budget: SearchBudget 
 
     The result is truncated at ENUMERATION_CAP; running out of nodes or
     time before the space is exhausted raises instead, because a partial
-    answer to "list them all" is not an answer.  Candidates are tested on int
-    rows (see _red_clique_free); an EdgeColoring is built only for each
-    coloring returned.
+    answer to "list them all" is not an answer.  Each leaf's colorings come
+    from _good_refinements, which also checks the time cap; an EdgeColoring
+    is built only for each coloring returned.
     """
     budget = budget or SearchBudget()
     results: list[tuple[tuple, tuple]] = []
+    deadline = time.perf_counter() + budget.time_cap
 
     def on_partition(blocks: list[int]) -> bool:
         part_key = tuple(tuple(iter_bits(m)) for m in blocks)
-        results.extend(
-            (part_key, blue) for blue in _refinements(g, blocks) if _red_clique_free(g, blue, t)
-        )
+        results.extend((part_key, blue) for blue in _good_refinements(g, t, blocks, deadline=deadline))
         return len(results) >= ENUMERATION_CAP
 
     status, nodes, millis = _walk_partitions(g, t, k, budget, on_partition)
@@ -448,21 +465,18 @@ def enumerate_critical_colorings(g: Graph, t: int, k: int, budget: SearchBudget 
 def max_red_critical_coloring(g: Graph, t: int, k: int, budget: SearchBudget | None = None) -> EdgeColoring:
     """A good coloring with the most red edges; first in canonical order on ties.
 
-    Minimizing blue is the same thing.  Every leaf of the full walk goes to
-    _fewer_blue, which tries its candidates in (len(blue), blue) order and
-    takes only one with fewer blue edges than the best so far; across
-    partitions the first one found in walk order wins a tie.
-
-    A candidate's red graph is g minus its blue edges, so _red_clique_free
-    tests g's adjacency rows with the blue bits cleared, which is the same
-    clique question as one asked of the coloring's red_graph().  Only the
-    answer is built as an EdgeColoring.
+    Minimizing blue is the same thing.  Every leaf of the full walk takes
+    the first item of _good_refinements below the best count so far: its
+    least good refinement in (len(blue), blue) order, if that has fewer blue
+    edges.  Across partitions the first one found in walk order wins a tie.
+    Only the answer is built as an EdgeColoring.
     """
     budget = budget or SearchBudget()
     best: dict = {"count": None, "blue": None}
+    deadline = time.perf_counter() + budget.time_cap
 
     def on_partition(blocks: list[int]) -> bool:
-        blue = _fewer_blue(g, t, blocks, best["count"])
+        blue = next(_good_refinements(g, t, blocks, best["count"], deadline), None)
         if blue is not None:
             best["count"] = len(blue)
             best["blue"] = blue

@@ -23,6 +23,7 @@ within-block edges, and connectivity of the cross graph.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -56,7 +57,7 @@ from .search import (
     SearchBudget,
     _assert_witness,
     _blocks_to_partition,
-    _fewer_blue,
+    _good_refinements,
     _walk_partitions,
 )
 from .stable import clique_core
@@ -164,23 +165,26 @@ def is_cocritical(
     no type is open, or at the first leaf that settles one under fail_fast.
     A non-edge still open when the walk is exhausted is arrowed; one still
     open when the budget runs out is reported as BUDGET.  The budget bounds
-    this one walk.  per_edge_stats has one (edge, nodes, millis) row per
-    checked non-edge, in g.non_edges() order, each carrying the totals of the
-    pruned walk; under fail_fast a stopped walk checks only the first
-    non-edge, in that order, that its stopping leaf settled itself (report
-    marked incomplete when others remain).  That leaf is the full walk's
-    first settling leaf too (see below), so the reported non-edge is as well.
+    this one walk, the max-red leaf step included.  per_edge_stats has one
+    (edge, nodes, millis) row per checked non-edge, in g.non_edges() order,
+    each carrying the totals of the pruned walk; under fail_fast a stopped
+    walk checks only the first non-edge, in that order, that its stopping
+    leaf settled itself (report marked incomplete when others remain).
+    That leaf is the full walk's first settling leaf too (see below), so the
+    reported non-edge is as well.
 
-    Without fail_fast, every leaf also goes to search._fewer_blue until a
-    non-edge is settled, and a co-critical report (nothing settled, walk
+    Without fail_fast, every leaf also goes to search._good_refinements until
+    a non-edge is settled, and a co-critical report (nothing settled, walk
     exhausted) carries the max-red coloring that max_red_critical_coloring
-    returns.  Both run the same leaf step, _fewer_blue against the best count
-    so far, over their leaves in walk order; the standalone search takes
-    every leaf of the full walk.  Improvements are strict, so its answer is
-    the least refinement of the first leaf, in walk order, that
-    has one with the fewest blue edges m.  The twin rule keeps that: having
-    a good refinement with m blue edges, like settling some non-edge or
-    being a leaf at all, is a property twin permutations preserve, and the
+    returns.  Both run the same leaf step over their leaves in walk order:
+    the first item of _good_refinements below the best count so far, which
+    is the leaf's least good refinement in (len(blue), blue) order if that
+    has fewer blue edges.  The standalone search takes every leaf of the
+    full walk.  Improvements are strict, so its answer is the least good
+    refinement of the first leaf, in walk order, that has one with the
+    fewest blue edges m.  The twin rule keeps that: having a good
+    refinement with m blue edges, like settling some non-edge or being a
+    leaf at all, is a property twin permutations preserve, and the
     first leaf of the full walk with such a property obeys the rule
     (search._walk_partitions, "Walk order").  So the base witness, the first
     settling leaf and the leaf that holds the max-red coloring are the full
@@ -188,6 +192,7 @@ def is_cocritical(
     coloring.
     """
     budget = budget or SearchBudget()
+    deadline = time.perf_counter() + budget.time_cap
     n, adj, limit, need = g.n, g.adj, k - 1, t - 2
     twin_of = twin_masks(g)
     non_edges = g.non_edges()
@@ -227,7 +232,7 @@ def is_cocritical(
             still_open = [(u, v) for u, v in still_open if twin_of[u] | twin_of[v] not in settled]
         open_edges[:] = still_open
         if not (fail_fast or settled):
-            blue = _fewer_blue(g, t, blocks, len(best[0]) if best else None)
+            blue = next(_good_refinements(g, t, blocks, len(best[0]) if best else None, deadline), None)
             if blue is not None:
                 best[:] = [blue]
         return not open_edges

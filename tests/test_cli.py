@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from cocritical import cli, verify
 from cocritical.cli import main
 from cocritical.construction import ConstructionParams, build
 from cocritical.graph6 import emit_graph6, parse_graph6
@@ -93,6 +94,38 @@ def test_verify_time_cap_exit(capsys):
         "--time-cap", "0.001",
     )
     assert code == 3
+
+
+def test_time_cap_binds_a_short_walk(capsys):
+    # the (5,3,17) walk takes 696 nodes, fewer than the 1,024 between clock
+    # reads; the clock is read at node 1 too
+    code, doc = run_json(
+        capsys,
+        "verify", "--construct", "5,3,17", "--t", "5", "--k", "3",
+        "--time-cap", "1e-9",
+    )
+    assert code == 3
+    assert doc["results"]["verdict"] == "indeterminate"
+
+
+def test_verify_first_k5_instance(capsys, monkeypatch):
+    # (4,5,28): the first verified instance with k = 5
+    reports = []
+
+    def keep_report(*args):
+        reports.append(verify.is_cocritical(*args))
+        return reports[-1]
+
+    monkeypatch.setattr(cli, "is_cocritical", keep_report)
+    code, doc = run_json(
+        capsys, "verify", "--construct", "4,5,28", "--t", "4", "--k", "5", "--checks"
+    )
+    assert code == 0
+    res = doc["results"]
+    assert res["verdict"] == "co-critical" and res["complete"]
+    assert res["structure"]["all_passed"]
+    assert res["coloring_structure_violations"] == []
+    assert len(reports[0].coloring.blue) == 42
 
 
 def test_arrows_true_false(capsys):

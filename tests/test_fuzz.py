@@ -1,5 +1,5 @@
-"""Property-based fuzzing of the input boundary: the graph6 parser and the
-command line options that take free text.
+"""Property-based fuzzing of the input boundary: the graph6 parser, the
+command line options and the graph files that commands read.
 
 Bad input must come back as a located ValueError from the parser, and as
 exit code 2 with an `error:` line (never a traceback) from the command line.
@@ -28,11 +28,11 @@ FUZZ = settings(
 
 
 @st.composite
-def near_graph6(draw):
-    """The graph6 line of a graph on 0..70 vertices (long form from 63 on),
-    then perhaps one byte replaced by any byte, the line cut, or a byte
+def near_graph6(draw, max_n=70):
+    """The graph6 line of a graph on 0..max_n vertices (long form from 63
+    on), then perhaps one byte replaced by any byte, the line cut, or a byte
     appended."""
-    n = draw(st.integers(0, 70))
+    n = draw(st.integers(0, max_n))
     ends = st.integers(0, max(n - 1, 0))
     pairs = draw(st.sets(st.tuples(ends, ends), max_size=30))
     line = bytearray(emit_graph6(make_graph(n, {(u, v) for u, v in pairs if u < v})).encode())
@@ -109,3 +109,51 @@ def test_seed_option(capsys, text):
 def test_budget_options(capsys, node_cap, time_cap):
     argv = ["arrows", "--complete", "6", "--t", "4", "--k", "3"]
     exit_code(capsys, [*argv, f"--node-cap={node_cap}", f"--time-cap={time_cap}"])
+
+
+def not_order_8(text):
+    """minsearch at order 8 takes seconds; every other order is quick or
+    rejected."""
+    try:
+        return int(text) != 8
+    except ValueError:
+        return True
+
+
+# valid values come up about as often as invalid ones
+INT_OPTION = st.one_of(st.integers(1, 7).map(str), SMALL_INT, st.integers().map(str), NOISE)
+
+
+@FUZZ
+@given(st.sampled_from(("verify", "arrows", "percolate")), INT_OPTION, INT_OPTION, INT_OPTION)
+def test_integer_options(capsys, command, t, k, q):
+    argv = [command, "--complete", "5", f"--t={t}", f"--k={k}", "--node-cap", "2000"]
+    exit_code(capsys, argv + [f"--q={q}"] if command == "percolate" else argv)
+
+
+@FUZZ
+@given(INT_OPTION.filter(not_order_8))
+def test_minsearch_order(capsys, n):
+    exit_code(capsys, ["minsearch", "--t", "3", "--k", "3", f"--n={n}", "--node-cap", "200"])
+
+
+# file contents: a few lines, each a near-graph6 line of a small graph or
+# short noise; small orders keep the searches and the brute-force oracle of
+# props quick
+LINES = st.lists(st.one_of(near_graph6(max_n=6), st.binary(max_size=4)), max_size=4).map(b"\n".join)
+
+
+@FUZZ
+@given(LINES)
+def test_input_file(capsys, tmp_path, data):
+    path = tmp_path / "graph.g6"
+    path.write_bytes(data)
+    exit_code(capsys, ["verify", "--input", str(path), "--t", "3", "--k", "3", "--node-cap", "2000"])
+
+
+@FUZZ
+@given(LINES)
+def test_props_corpus(capsys, tmp_path, data):
+    path = tmp_path / "corpus.g6"
+    path.write_bytes(data)
+    exit_code(capsys, ["props", "--corpus", str(path), "--node-cap", "2000"])

@@ -3,6 +3,7 @@ and against a test-local walk without the forced-merge lookahead, plus the
 arrowing thresholds it must reproduce."""
 
 import random
+from itertools import combinations, product
 
 import pytest
 
@@ -34,6 +35,7 @@ from cocritical.search import (
     NoCriticalColoringError,
     SearchBudget,
     _assert_witness,
+    _good_refinements,
     arrows,
     brute_force_critical_colorings,
     brute_force_exists,
@@ -191,9 +193,86 @@ def test_parameter_validation():
 
 
 def reference_red_clique_free(g, blue, t):
-    """Reference for search._red_clique_free: build the coloring and ask its
-    red graph."""
+    """Reference for the red-clique test: build the coloring and ask its red
+    graph."""
     return not has_clique(make_coloring(g, blue).red_graph(), t)
+
+
+def reference_spanning_subsets(g, block_mask):
+    """Edge subsets inside the block that connect all its vertices, ordered by
+    (size, lexicographic edge tuple)."""
+    verts = list(iter_bits(block_mask))
+    if len(verts) == 1:
+        return [()]
+    inner = [
+        ((u, v), 1 << u | 1 << v)
+        for i, u in enumerate(verts)
+        for v in verts[i + 1 :]
+        if g.adj[u] >> v & 1
+    ]
+    out = []
+    for size in range(len(verts) - 1, len(inner) + 1):
+        for combo in combinations(inner, size):
+            # grow the component of the lowest vertex by whole edge masks
+            reach = block_mask & -block_mask
+            grew = True
+            while grew:
+                grew = False
+                for _, ends in combo:
+                    if reach & ends and ends & ~reach:
+                        reach |= ends
+                        grew = True
+            if reach == block_mask:
+                out.append(tuple(edge for edge, _ in combo))
+    return out
+
+
+def reference_refinements(g, blocks):
+    """Blue edge sets of the colorings whose blue components are exactly the
+    blocks: the whole product of one spanning connected subset per block,
+    each joined as a sorted tuple."""
+    per_block = [reference_spanning_subsets(g, m) for m in blocks]
+    return [tuple(sorted(e for part in combo for e in part)) for combo in product(*per_block)]
+
+
+def row_red_clique_free(g, blue, t):
+    """Does g minus the blue edges hold no K_t?  Asked on adjacency rows with
+    the blue bits cleared."""
+    rows = list(g.adj)
+    for u, v in blue:
+        rows[u] &= ~(1 << v)
+        rows[v] &= ~(1 << u)
+    return not _clique_rec(rows, g.vertex_mask, t)
+
+
+def reference_good_list(g, t, blocks):
+    """A leaf's good refinements: the refinement product sorted in
+    (len(blue), blue) order and filtered by the row-based red-clique test."""
+    ordered = sorted(reference_refinements(g, blocks), key=lambda blue: (len(blue), blue))
+    return [blue for blue in ordered if row_red_clique_free(g, blue, t)]
+
+
+def reference_fewer_blue(g, t, blocks, count):
+    """The first refinement of a leaf, in (len(blue), blue) order, with fewer
+    than count blue edges (no limit when None) and no red K_t, else None."""
+    if count is not None and g.n - len(blocks) >= count:
+        return None
+    for blue in sorted(reference_refinements(g, blocks), key=lambda blue: (len(blue), blue)):
+        if count is not None and len(blue) >= count:
+            return None
+        if row_red_clique_free(g, blue, t):
+            return blue
+    return None
+
+
+def reference_good_refinements(g, t, blocks, below=None, deadline=None):
+    """Stand-in for search._good_refinements built on the materialised
+    product and the red-graph test."""
+    for blue in sorted(reference_refinements(g, blocks), key=lambda blue: (len(blue), blue)):
+        if below is not None and len(blue) >= below:
+            return
+        if reference_red_clique_free(g, blue, t):
+            yield blue
 
 
 def refinement_answers():
@@ -213,8 +292,39 @@ def refinement_answers():
 
 def test_row_candidate_test_matches_red_graph_oracle(monkeypatch):
     fast = refinement_answers()
-    monkeypatch.setattr(search, "_red_clique_free", reference_red_clique_free)
+    monkeypatch.setattr(search, "_good_refinements", reference_good_refinements)
     assert refinement_answers() == fast
+
+
+def check_good_refinements(g, t, blocks):
+    """The generator yields exactly the sorted, filtered product, and its first
+    item under each cut equals reference_fewer_blue."""
+    want = reference_good_list(g, t, blocks)
+    assert list(_good_refinements(g, t, blocks)) == want, (g.adj, t, blocks)
+    m = len(want[0]) if want else g.n - len(blocks)
+    for below in (None, m, m + 1):
+        first = next(_good_refinements(g, t, blocks, below), None)
+        assert first == reference_fewer_blue(g, t, blocks, below), (g.adj, t, blocks, below)
+
+
+def test_good_refinements_match_the_product_on_small_classes():
+    # every leaf of every class on 1-6 vertices
+    leaves = 0
+    for n in range(1, 7):
+        for g in nonisomorphic_graphs(n):
+            for t, k in PAIRS:
+                for blocks in walk_leaves(g, t, k):
+                    check_good_refinements(g, t, list(blocks))
+                    leaves += 1
+    assert leaves == 7910
+
+
+def test_good_refinements_match_the_product_on_4_4_18():
+    g = build(ConstructionParams(4, 4, 18))
+    leaves = walk_leaves(g, 4, 4)
+    assert len(leaves) == 2
+    for blocks in leaves:
+        check_good_refinements(g, 4, list(blocks))
 
 
 FROZEN_MAX_RED_BLUE = {

@@ -1,6 +1,8 @@
 """Co-criticality verdicts, the structural consequence checks, and the
 exhaustive minimum search."""
 
+import math
+
 import pytest
 from test_search import FROZEN_MAX_RED_BLUE, lower_twins
 
@@ -20,6 +22,7 @@ from cocritical.graphs import (
 from cocritical.graph6 import emit_graph6, parse_graph6
 from cocritical.search import (
     FOUND,
+    IndeterminateResultError,
     SearchBudget,
     _assert_witness,
     _walk_partitions,
@@ -322,6 +325,30 @@ def test_budget_runs_out_mid_walk():
     assert report.failures == tuple((e, BUDGET) for e in g.non_edges())
     assert len(report.failures) == 66
     assert report.verdict() == INDETERMINATE
+
+
+def test_deadline_passes_inside_the_leaf_step(monkeypatch):
+    # the clock stands still until the first leaf step starts and reads past
+    # every deadline from then on, so only the leaf step's own clock check
+    # can stop the search: the (4,3,13) walk takes 65 nodes, and the walk
+    # reads the clock at node 1 and then at node 1,025
+    now = [0.0]
+    real = search._good_refinements
+
+    def late(*args):
+        now[0] = math.inf
+        yield from real(*args)
+
+    monkeypatch.setattr(search.time, "perf_counter", lambda: now[0])
+    monkeypatch.setattr(search, "_good_refinements", late)
+    monkeypatch.setattr(verify, "_good_refinements", late)
+    g = build(ConstructionParams(4, 3, 13))
+    with pytest.raises(IndeterminateResultError):
+        max_red_critical_coloring(g, 4, 3)
+    now[0] = 0.0
+    report = is_cocritical(g, 4, 3)
+    assert report.verdict() == INDETERMINATE and report.coloring is None
+    assert report.failures == tuple((e, BUDGET) for e in g.non_edges())
 
 
 def test_fail_fast_stops_early():
