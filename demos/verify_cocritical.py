@@ -31,9 +31,7 @@ elapsed = time.perf_counter() - t0
 print(f"verdict: {rep.verdict()}  ({elapsed:.2f}s)")
 print(f"base search: {rep.base_status}, witness blocks "
       f"{sorted(sorted(b) for b in rep.base_witness.blocks) if rep.base_witness else None}")
-# every row carries the totals of the one walk
-nodes = rep.per_edge_stats[0][1] if rep.per_edge_stats else 0
-print(f"non-edges checked: {len(rep.per_edge_stats)}, walk nodes {nodes}")
+print(f"non-edges: {rep.non_edge_count}, walk nodes {rep.nodes}")
 if rep.failures:
     print(f"failures: {rep.failures}")
     raise SystemExit(1)

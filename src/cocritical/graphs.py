@@ -280,11 +280,6 @@ def is_connected_mask(g: Graph, mask: int) -> bool:
 # --- cliques ---------------------------------------------------------------
 
 
-def clique_in_mask(g: Graph, mask: int, size: int) -> bool:
-    """True iff the subgraph induced on mask contains a clique on `size` vertices."""
-    return _clique_rec(g.adj, mask, size)
-
-
 def _clique_rec(adj: tuple[int, ...], mask: int, size: int) -> bool:
     if size <= 0:
         return True

@@ -54,6 +54,7 @@ from .coloring import (
     check_parameters,
     is_critical,
     make_coloring,
+    make_partition,
 )
 from .graphs import (
     Graph,
@@ -286,13 +287,6 @@ def _walk_partitions(g: Graph, t: int, k: int, budget: SearchBudget, on_partitio
     return status, nodes, millis
 
 
-def _blocks_to_partition(block_masks: list[int], max_block: int) -> BlockPartition:
-    return BlockPartition(
-        tuple(frozenset(iter_bits(m)) for m in block_masks),
-        max_block,
-    )
-
-
 def _assert_witness(rows: Sequence[int], t: int, k: int, blocks: Sequence[int]) -> None:
     """Re-check, independently of the walker, that the block masks form a good
     partition of the graph with adjacency rows `rows`: the blocks cover the
@@ -338,7 +332,7 @@ def exists_critical_coloring(g: Graph, t: int, k: int, budget: SearchBudget | No
     witness = None
     if holder:
         _assert_witness(g.adj, t, k, holder[0])
-        witness = _blocks_to_partition(holder[0], k - 1)
+        witness = make_partition(map(iter_bits, holder[0]), k - 1)
     return SearchOutcome(status, witness, nodes, millis)
 
 

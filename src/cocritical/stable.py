@@ -14,6 +14,7 @@ a given order, found by enumerating those cliques directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .graphs import Graph, enumerate_cliques, max_stable_sets
 
@@ -26,8 +27,13 @@ class StableFamilyStats:
     union: frozenset[int]
 
 
+@lru_cache(maxsize=1)
 def stable_family_stats(g: Graph) -> StableFamilyStats:
-    """Independence number plus the full family of maximum stable sets."""
+    """Independence number plus the full family of maximum stable sets.
+
+    The last graph's answer is kept, so the checks below, run one after the
+    other on the same graph, enumerate its maximum stable sets once.
+    """
     alpha, family = max_stable_sets(g)
     inter = frozenset(range(g.n))
     union: frozenset[int] = frozenset()

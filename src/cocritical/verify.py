@@ -36,13 +36,13 @@ from .coloring import (
     cross_graph,
     is_critical,
     make_coloring,
+    make_partition,
 )
 from .construction import block_edge_lower_bound
 from .graphs import (
     Graph,
     _clique_rec,
     bitmask,
-    clique_in_mask,
     components,
     enumerate_cliques_in_mask,
     induced_subgraph,
@@ -56,7 +56,6 @@ from .search import (
     FOUND,
     SearchBudget,
     _assert_witness,
-    _blocks_to_partition,
     _good_refinements,
     _walk_partitions,
 )
@@ -80,7 +79,8 @@ class CocriticalReport:
     base_status: str
     base_witness: BlockPartition | None
     failures: tuple[tuple[Edge, str], ...]
-    per_edge_stats: tuple[tuple[Edge, int, float], ...]
+    nodes: int
+    millis: float
     complete: bool
     coloring: EdgeColoring | None = None  # max-red, kept only when co-critical
 
@@ -113,10 +113,8 @@ class CocriticalReport:
             if self.base_witness is None
             else [sorted(b) for b in self.base_witness.blocks],
             "failures": [[list(edge), reason] for edge, reason in self.failures],
-            "per_edge_stats": [
-                {"edge": list(edge), "nodes": nodes, "millis": round(ms, 3)}
-                for edge, nodes, ms in self.per_edge_stats
-            ],
+            "nodes": self.nodes,
+            "millis": round(self.millis, 3),
             "complete": self.complete,
         }
 
@@ -165,11 +163,11 @@ def is_cocritical(
     no type is open, or at the first leaf that settles one under fail_fast.
     A non-edge still open when the walk is exhausted is arrowed; one still
     open when the budget runs out is reported as BUDGET.  The budget bounds
-    this one walk, the max-red leaf step included.  per_edge_stats has one
-    (edge, nodes, millis) row per checked non-edge, in g.non_edges() order,
-    each carrying the totals of the pruned walk; under fail_fast a stopped
-    walk checks only the first non-edge, in that order, that its stopping
-    leaf settled itself (report marked incomplete when others remain).
+    this one walk, the max-red leaf step included, and the report carries
+    its nodes and millis.  Every non-edge is checked, in g.non_edges() order,
+    except that under fail_fast a stopped walk checks only the first
+    non-edge, in that order, that its stopping leaf settled itself (report
+    marked incomplete when others remain).
     That leaf is the full walk's first settling leaf too (see below), so the
     reported non-edge is as well.
 
@@ -241,9 +239,9 @@ def is_cocritical(
     status, nodes, millis = _walk_partitions(g, t, k, budget, on_partition, lower_twins=lower)
     if not first:
         # no good base coloring, or none found within the budget
-        return CocriticalReport(t, k, len(non_edges), status, None, (), (), True)
+        return CocriticalReport(t, k, len(non_edges), status, None, (), nodes, millis, True)
     _assert_witness(adj, t, k, first[0])
-    base_witness = _blocks_to_partition(first[0], limit)
+    base_witness = make_partition(map(iter_bits, first[0]), limit)
     checked = non_edges
     if fail_fast and settled:
         # the one settling leaf tested in non_edges order: its first hit
@@ -270,7 +268,8 @@ def is_cocritical(
         FOUND,
         base_witness,
         tuple(failures),
-        tuple((e, nodes, millis) for e in checked),
+        nodes,
+        millis,
         len(checked) == len(non_edges),
     )
     if fail_fast or not report.is_cocritical:
@@ -422,7 +421,7 @@ def saturation_structure_checks(
     failures_b = [
         (u, v)
         for u, v in cross_nonedges
-        if not clique_in_mask(H, H.adj[u] & H.adj[v], t - 2)
+        if not _clique_rec(H.adj, H.adj[u] & H.adj[v], t - 2)
     ]
     items["cross_nonedge_clique"] = StructureItem(
         bool(cross_nonedges),
@@ -430,7 +429,7 @@ def saturation_structure_checks(
         {"checked": len(cross_nonedges), "failures": [list(e) for e in failures_b]},
     )
 
-    items["forced_block_sizes"] = _forced_block_sizes_item(g, H, blocks, block_index, t, k)
+    items["forced_block_sizes"] = _forced_block_sizes_item(H, blocks, t, k)
     items["min_neighborhood_core"] = _min_neighborhood_core_item(H, t, k)
 
     delta_h = H.min_degree()
@@ -456,14 +455,7 @@ def saturation_structure_checks(
     return StructureReport(t, k, tau, blocks, items)
 
 
-def _forced_block_sizes_item(
-    g: Graph,
-    H: Graph,
-    blocks: BlockPartition,
-    block_index: dict[int, int],
-    t: int,
-    k: int,
-) -> StructureItem:
+def _forced_block_sizes_item(H: Graph, blocks: BlockPartition, t: int, k: int) -> StructureItem:
     """Singleton blocks pinned inside every neighborhood clique force all the
     blocks they do not dominate to be full size."""
     singletons = [next(iter(b)) for b in blocks.blocks if len(b) == 1]

@@ -85,8 +85,8 @@ def test_a2_instance_4_3_13_verified():
     rep = is_cocritical(g, 4, 3)
     if rep.verdict() != CO_CRITICAL:
         problems.append(f"verdict {rep.verdict()}")
-    if len(rep.per_edge_stats) != 34 or rep.failures or not rep.complete:
-        problems.append(f"{len(rep.per_edge_stats)} edges checked, failures {rep.failures}")
+    if rep.non_edge_count != 34 or rep.failures or not rep.complete:
+        problems.append(f"{rep.non_edge_count} non-edges, complete {rep.complete}, failures {rep.failures}")
     elapsed = time.perf_counter() - t0
     if elapsed >= 600:
         problems.append(f"took {elapsed:.1f}s, limit 600s")

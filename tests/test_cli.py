@@ -6,10 +6,11 @@ import sys
 
 import pytest
 
-from cocritical import cli, verify
+from cocritical import cli, stable, verify
 from cocritical.cli import main
 from cocritical.construction import ConstructionParams, build
 from cocritical.graph6 import emit_graph6, parse_graph6
+from cocritical.graphs import max_stable_sets
 
 
 def run_cli(capsys, *argv):
@@ -65,6 +66,7 @@ def test_verify_frozen_instance(capsys):
     assert code == 0
     res = doc["results"]
     assert res["verdict"] == "co-critical" and res["complete"]
+    assert res["nodes"] == 65
     assert res["structure"]["all_passed"]
     assert res["coloring_structure_violations"] == []
     timings = doc["timings"]
@@ -75,6 +77,15 @@ def test_verify_complete_graph_fails(capsys):
     code, doc = run_json(capsys, "verify", "--complete", "5", "--t", "3", "--k", "3")
     assert code == 1
     assert doc["results"]["verdict"] == "not-co-critical"
+
+
+def test_verify_reports_a_walk_without_leaves(capsys):
+    # K_7 arrows (K_4, T_3): the walk finds no good partition, and the
+    # report still carries its size
+    code, doc = run_json(capsys, "verify", "--complete", "7", "--t", "4", "--k", "3")
+    assert code == 1
+    res = doc["results"]
+    assert res["base_status"] == "exhausted" and res["nodes"] == 18
 
 
 def test_verify_budget_exit(capsys):
@@ -222,6 +233,22 @@ def test_props(capsys, tmp_path):
     res = doc["results"]
     assert res["graphs"] == 3 and res["failures"] == 0
     assert all("hajnal" in row for row in res["rows"])
+
+
+def test_props_enumerates_each_stable_family_once(capsys, tmp_path, monkeypatch):
+    calls = []
+
+    def counted(g):
+        calls.append(g)
+        return max_stable_sets(g)
+
+    stable.stable_family_stats.cache_clear()
+    monkeypatch.setattr(stable, "max_stable_sets", counted)
+    corpus = tmp_path / "corpus.g6"
+    corpus.write_text("DN{\n")
+    code, _ = run_json(capsys, "props", "--corpus", str(corpus))
+    assert code == 0
+    assert len(calls) == 1
 
 
 def test_props_missing_file(capsys, tmp_path):

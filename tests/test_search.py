@@ -17,6 +17,7 @@ from cocritical.coloring import (
     partition_to_coloring,
 )
 from cocritical.construction import ConstructionParams, build
+from cocritical.graph6 import parse_graph6
 from cocritical.graphs import (
     _clique_rec,
     bitmask,
@@ -341,6 +342,15 @@ FROZEN_MAX_RED_BLUE = {
 def test_max_red_on_frozen_instances_is_pinned(t, k, n):
     tau = max_red_critical_coloring(build(ConstructionParams(t, k, n)), t, k)
     assert sorted(tau.blue) == FROZEN_MAX_RED_BLUE[(t, k, n)]
+
+
+def test_max_red_tie_break_is_pinned():
+    # the first leaf, {0} {1} {2} {3,4,5,6}, has three good refinements with
+    # the fewest blue edges (four); the lexicographically least wins, where
+    # deciding exclusion before inclusion would pick the last one,
+    # [(3, 6), (4, 5), (4, 6), (5, 6)]
+    tau = max_red_critical_coloring(parse_graph6("F@U^w"), 3, 5)
+    assert sorted(tau.blue) == [(3, 4), (3, 6), (4, 6), (5, 6)]
 
 
 def test_colorings_are_built_only_for_answers(monkeypatch):

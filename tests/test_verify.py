@@ -51,10 +51,9 @@ def test_is_cocritical_on_frozen_instance():
     assert report.complete
     assert report.failures == ()
     assert report.non_edge_count == 34
-    assert len(report.per_edge_stats) == 34
-    assert [e for e, _, _ in report.per_edge_stats] == g.non_edges()
+    assert report.nodes == 65
     doc = report.to_json()
-    assert doc["verdict"] == CO_CRITICAL and len(doc["per_edge_stats"]) == 34
+    assert doc["verdict"] == CO_CRITICAL and doc["nodes"] == 65
 
 
 def _per_nonedge_oracle(g, t, k):
@@ -246,7 +245,7 @@ def test_twin_rule_walk_sizes(t, k, n, pruned, full):
     # trigger the twin rule
     g = build(ConstructionParams(t, k, n))
     report = is_cocritical(g, t, k)
-    assert {nodes for _, nodes, _ in report.per_edge_stats} == {pruned}
+    assert report.nodes == pruned
     _, nodes, _ = _walk_partitions(g, t, k, SearchBudget(), lambda blocks: False)
     assert nodes == full
 
@@ -354,7 +353,7 @@ def test_deadline_passes_inside_the_leaf_step(monkeypatch):
 def test_fail_fast_stops_early():
     report = is_cocritical(cycle_graph(5), 3, 3, fail_fast=True)
     assert report.verdict() == NOT_CO_CRITICAL
-    assert len(report.per_edge_stats) == 1
+    assert len(report.failures) == 1 and not report.complete
 
 
 def test_fail_fast_reports_first_settled_nonedge():
@@ -365,11 +364,8 @@ def test_fail_fast_reports_first_settled_nonedge():
     fast = is_cocritical(g, 3, 3, fail_fast=True)
     first = g.non_edges()[0]
     assert fast.failures == ((first, STILL_COLORABLE),)
-    assert [row[0] for row in fast.per_edge_stats] == [first]
     assert not fast.complete and full.complete
     assert fast.base_witness == full.base_witness
-    # every row carries the totals of the one walk
-    assert len({row[1:] for row in full.per_edge_stats}) == 1
 
 
 def test_minimum_witness_is_cocritical():
