@@ -8,8 +8,9 @@ lexicographically smallest.  The refinement signatures are built purely from
 color multisets, so isomorphic graphs refine to matching cell structures and
 end up with identical canonical forms.  Labeling is guarded to
 ``CANONICAL_ORDER_CAP`` (10) vertices, beyond which the backtracking over
-large cells gets slow; exhaustive generation is guarded separately to 8
-vertices (12,346 classes), the most the minimum search scans.
+large cells gets slow; exhaustive generation is guarded separately to
+``GENERATION_ORDER_CAP`` vertices (12,346 classes at 8), which is also the
+most the minimum search scans.
 
 The backtracking prunes a branch only when its prefix equals the best
 string's prefix and its next row is larger, comparing against the best found
@@ -39,6 +40,7 @@ from collections.abc import Iterator, Sequence
 from .graphs import Graph
 
 CANONICAL_ORDER_CAP = 10
+GENERATION_ORDER_CAP = 8
 
 Perm = tuple[int, ...]
 
@@ -189,8 +191,8 @@ def iter_classes(n: int) -> Iterator[Graph]:
     same edge count; deduplicating within it loses nothing and yields each
     class once.
     """
-    if not 1 <= n <= 8:
-        raise ValueError("exhaustive generation guarded to 1 <= n <= 8")
+    if not 1 <= n <= GENERATION_ORDER_CAP:
+        raise ValueError(f"exhaustive generation guarded to 1 <= n <= {GENERATION_ORDER_CAP}")
 
     def generate() -> Iterator[Graph]:
         if n == 1:

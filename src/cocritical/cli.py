@@ -32,6 +32,7 @@ from .graphs import Graph, complete_graph
 from .graph6 import emit_graph6, parse_graph6, parse_graph6_lines
 from .percolation import PercolationError, run as percolation_run
 from .search import (
+    BRUTE_FORCE_EDGE_CAP,
     EXHAUSTED,
     FOUND,
     IndeterminateResultError,
@@ -57,7 +58,6 @@ EXIT_USAGE = 2
 EXIT_INDETERMINATE = 3
 
 ORACLE_PAIRS = ((3, 3), (3, 4), (4, 3))
-ORACLE_EDGE_CAP = 20
 
 
 def _emit(command: str, inputs: dict, results: dict, timings: dict) -> None:
@@ -332,7 +332,7 @@ def _props_one(g: Graph, budget: SearchBudget) -> tuple[dict, bool, bool]:
     if sr.applicable:
         ok &= sr.passed
     oracle: dict = {}
-    if g.edge_count() <= ORACLE_EDGE_CAP:
+    if g.edge_count() <= BRUTE_FORCE_EDGE_CAP:
         for t, k in ORACLE_PAIRS:
             walker = exists_critical_coloring(g, t, k, budget)
             if walker.status not in (FOUND, EXHAUSTED):

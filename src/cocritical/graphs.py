@@ -183,20 +183,6 @@ def disjoint_union(a: Graph, b: Graph) -> Graph:
     return Graph(a.n + b.n, tuple(rows))
 
 
-def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
-    """Subgraph induced on the given vertices, relabeled 0..m-1 in ascending order."""
-    kept = sorted(set(vertices))
-    for v in kept:
-        g._check_vertex(v)
-    index = {v: i for i, v in enumerate(kept)}
-    rows = [0] * len(kept)
-    for v in kept:
-        for u in iter_bits(g.adj[v]):
-            if u in index:
-                rows[index[v]] |= 1 << index[u]
-    return Graph(len(kept), tuple(rows))
-
-
 def relabel(g: Graph, perm: Iterable[int]) -> Graph:
     """Apply a permutation: vertex v of g becomes perm[v] of the result."""
     p = list(perm)
@@ -353,6 +339,13 @@ def enumerate_cliques_in_mask(g: Graph, mask: int, size: int) -> list[frozenset[
 
     extend(mask & g.vertex_mask, size)
     return out
+
+
+def clique_core_in_mask(g: Graph, mask: int, size: int) -> frozenset[int] | None:
+    """Vertices common to every clique on exactly `size` vertices inside the
+    induced mask, or None when the mask holds no such clique."""
+    cliques = enumerate_cliques_in_mask(g, mask, size)
+    return frozenset.intersection(*cliques) if cliques else None
 
 
 # --- stable sets -----------------------------------------------------------

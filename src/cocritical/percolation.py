@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .coloring import BlockPartition
+from .coloring import BlockPartition, _check_cover
 from .graphs import Graph, bitmask, iter_bits
 
 
@@ -206,8 +206,7 @@ def run(
         raise ValueError("graph has no vertices: nothing to percolate")
     if q < 1:
         raise ValueError("threshold q must be at least 1")
-    if sorted(v for b in partition.blocks for v in b) != list(range(g.n)):
-        raise ValueError("partition does not cover the graph's vertices")
+    _check_cover(g, partition)
     if g.min_degree() < q:
         raise ValueError(
             f"minimum degree {g.min_degree()} below threshold {q}: no certificate possible"

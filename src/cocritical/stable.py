@@ -1,14 +1,17 @@
 """Maximum stable set families and clique cores.
 
-Two classical facts about the family of all maximum stable sets drive the
-structural arguments downstream: Hajnal's bound (intersection plus union of
-the family is at least twice the independence number) and its consequence for
-graphs whose independence number exceeds half the order, where the whole
-family pins down a large common core.  Both are checked here on explicit,
-exhaustively enumerated families; nothing is sampled.
+Two classical facts about the family of all maximum stable sets are checked
+here: Hajnal's bound (intersection plus union of the family is at least twice
+the independence number) and its consequence for graphs whose independence
+number exceeds half the order, where the whole family pins down a large
+common core.  Both are checked on explicit, exhaustively enumerated families;
+nothing is sampled.
 
 The clique core is the mirror notion: the vertices common to every clique of
-a given order, found by enumerating those cliques directly.
+a given order.  ``clique_core`` asks it of the whole graph through
+``graphs.clique_core_in_mask``, the one routine that answers it; the
+structure checks in ``verify`` ask the same routine about neighbourhoods of
+the cross graph directly.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .graphs import Graph, enumerate_cliques, max_stable_sets
+from .graphs import Graph, clique_core_in_mask, max_stable_sets
 
 
 @dataclass(frozen=True)
@@ -95,15 +98,13 @@ def stable_intersection_check(g: Graph) -> StableIntersectionResult:
 
 
 def clique_core(g: Graph, size: int) -> frozenset[int]:
-    """Vertices common to every clique on `size` vertices.
+    """Vertices common to every clique on `size` vertices: the whole-graph
+    case of graphs.clique_core_in_mask.
 
     A size with no cliques at all is an error: the core of nothing is not a
     meaningful set.
     """
-    family = enumerate_cliques(g, size)
-    if not family:
+    core = clique_core_in_mask(g, g.vertex_mask, size)
+    if core is None:
         raise ValueError(f"graph has no clique on {size} vertices")
-    core = frozenset(range(g.n))
-    for s in family:
-        core &= s
     return core

@@ -18,7 +18,10 @@ graphs under a maximum-red coloring into executable form: degree windows on
 the red side, cliques in common cross-neighborhoods behind every missing
 cross edge, forced block sizes next to singleton blocks, a clean minimum-
 degree neighborhood, a degree/k trade-off, a strict lower bound on
-within-block edges, and connectivity of the cross graph.
+within-block edges, and connectivity of the cross graph.  The two
+neighborhood items ask which vertices lie in every K_{t-2} inside a
+neighborhood of the cross graph; graphs.clique_core_in_mask answers that on
+the cross graph's own vertices, so the edges they report are its edges.
 """
 
 from __future__ import annotations
@@ -26,8 +29,9 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import combinations
 
-from .canon import iter_classes
+from .canon import GENERATION_ORDER_CAP, iter_classes
 from .coloring import (
     BlockPartition,
     EdgeColoring,
@@ -43,9 +47,8 @@ from .graphs import (
     Graph,
     _clique_rec,
     bitmask,
+    clique_core_in_mask,
     components,
-    enumerate_cliques_in_mask,
-    induced_subgraph,
     iter_bits,
     twin_masks,
 )
@@ -59,7 +62,6 @@ from .search import (
     _good_refinements,
     _walk_partitions,
 )
-from .stable import clique_core
 
 Edge = tuple[int, int]
 
@@ -320,8 +322,6 @@ def check_critical_structure(g: Graph, c: EdgeColoring, t: int, k: int) -> list[
     violations: list[str] = []
     blocks = blue_blocks(c).blocks
     for b in blocks:
-        if len(b) > k - 1:
-            violations.append(f"blue component {sorted(b)} has {len(b)} >= k vertices")
         members = sorted(b)
         for i, u in enumerate(members):
             for v in members[i + 1 :]:
@@ -464,8 +464,8 @@ def _forced_block_sizes_item(H: Graph, blocks: BlockPartition, t: int, k: int) -
     for v in singletons:
         for u in sorted(iter_bits(H.adj[v])):
             nb = H.adj[u]
-            cliques = enumerate_cliques_in_mask(H, nb, t - 2)
-            if not cliques or any(v not in q for q in cliques):
+            core = clique_core_in_mask(H, nb, t - 2)
+            if core is None or v not in core:
                 continue
             triggered += 1
             for b in blocks.blocks:
@@ -495,21 +495,15 @@ def _min_neighborhood_core_item(H: Graph, t: int, k: int) -> StructureItem:
     for u in range(H.n):
         if H.degree(u) != delta_h:
             continue
-        sub = induced_subgraph(H, iter_bits(H.adj[u]))
-        try:
-            core = clique_core(sub, t - 2)
-        except ValueError:
+        core = clique_core_in_mask(H, H.adj[u], t - 2)
+        if core is None:
             checked.append({"vertex": u, "cliques": 0})
             continue
-        core_edges = [
-            (a, b)
-            for a in sorted(core)
-            for b in sorted(core)
-            if a < b and sub.has_edge(a, b)
-        ]
         checked.append({"vertex": u, "core_size": len(core)})
-        if core_edges:
-            failures.append({"vertex": u, "pinned_edges": [list(e) for e in core_edges]})
+        # the core lies inside a clique, so every pair in it is an edge of H
+        pinned = [list(e) for e in combinations(sorted(core), 2)]
+        if pinned:
+            failures.append({"vertex": u, "pinned_edges": pinned})
     return StructureItem(True, not failures, {"checked": checked, "failures": failures})
 
 
@@ -545,7 +539,7 @@ class MinSearchResult:
         }
 
 
-MIN_SEARCH_ORDER_CAP = 8
+MIN_SEARCH_ORDER_CAP = GENERATION_ORDER_CAP
 
 
 def min_cocritical_search(

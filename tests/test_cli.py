@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from cocritical import cli, stable, verify
+from cocritical.canon import nonisomorphic_graphs
 from cocritical.cli import main
 from cocritical.construction import ConstructionParams, build
 from cocritical.graph6 import emit_graph6, parse_graph6
@@ -206,6 +207,41 @@ def test_minsearch(capsys):
     assert doc["results"]["minimum_edges"] is None
 
 
+def test_minsearch_budget_exit_lists_every_class(capsys):
+    code, doc = run_json(
+        capsys, "minsearch", "--t", "3", "--k", "3", "--n", "5", "--node-cap", "1"
+    )
+    assert code == 3
+    res = doc["results"]
+    assert res["complete"] is False and res["minimum_edges"] is None
+    # every class on 5 vertices but K_5 is examined, and none is settled
+    expected = {emit_graph6(g) for g in nonisomorphic_graphs(5) if g.non_edges()}
+    assert res["examined"] == len(expected) == 33
+    assert {row["graph6"] for row in res["indeterminate"]} == expected
+
+
+def test_props_budget_exit(capsys, tmp_path):
+    corpus = tmp_path / "corpus.g6"
+    corpus.write_text("DN{\n" + emit_graph6(build(ConstructionParams(4, 3, 13))) + "\n")
+    code, out, err = run_cli(capsys, "props", "--corpus", str(corpus), "--node-cap", "1")
+    assert code == 3
+    assert err == "2 graphs: 0 failures, 1 indeterminate\n"
+    small, large = json.loads(out)["results"]["rows"]
+    assert small["oracle_agreement"] == {"3,3": None, "3,4": None, "4,3": None}
+    assert large["oracle_agreement"] == "skipped: edge count above brute-force cap"
+
+
+def test_percolate_budget_exit(capsys):
+    # the one route through main's IndeterminateResultError handler
+    code, out, err = run_cli(
+        capsys,
+        "percolate", "--graph6", "L~GO?C?~~~f|N{", "--t", "4", "--k", "3", "--q", "3",
+        "--node-cap", "1",
+    )
+    assert code == 3 and out == ""
+    assert err == "indeterminate: maximization incomplete after 2 nodes\n"
+
+
 def test_minsearch_bad_parameter_names_it(capsys):
     code, out, err = run_cli(capsys, "minsearch", "--t", "1", "--k", "3", "--n", "7")
     assert code == 2 and out == ""
@@ -217,6 +253,7 @@ def test_minsearch_bad_parameter_names_it(capsys):
     [
         (("verify", "--complete", "4", "--t", "1", "--k", "3"), "t must be at least 2, got 1"),
         (("arrows", "--complete", "4", "--t", "3", "--k", "1"), "k must be at least 2, got 1"),
+        (("percolate", "--graph6", "DN{", "--q", "1"), "error: --t and --k are required to derive a coloring"),
     ],
 )
 def test_bad_t_or_k_is_named(capsys, argv, message):

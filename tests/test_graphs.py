@@ -12,6 +12,7 @@ from cocritical.graphs import (
     Graph,
     add_edge,
     bitmask,
+    clique_core_in_mask,
     clique_number,
     complement,
     complete_graph,
@@ -22,7 +23,6 @@ from cocritical.graphs import (
     enumerate_cliques,
     enumerate_cliques_in_mask,
     has_clique,
-    induced_subgraph,
     is_connected_mask,
     iter_bits,
     make_graph,
@@ -100,10 +100,8 @@ def test_components_and_connectivity():
     assert is_connected_mask(g, bitmask([5]))
 
 
-def test_induced_subgraph_and_relabel():
+def test_relabel():
     g = cycle_graph(5)
-    h = induced_subgraph(g, [0, 1, 2])
-    assert h == path_graph(3)
     p = relabel(g, (4, 3, 2, 1, 0))
     assert p.edge_count() == 5 and p.degree_sequence() == g.degree_sequence()
 
@@ -142,6 +140,26 @@ def test_enumerate_cliques_in_mask():
     assert sorted(inside) == sorted(
         [frozenset({0, 2}), frozenset({0, 4}), frozenset({2, 4})]
     )
+
+
+def test_clique_core_in_mask_against_brute_force():
+    rng = random.Random(4391)
+    for _ in range(60):
+        n = rng.randrange(1, 9)
+        g = rand_graph(rng, n, rng.choice([0.3, 0.5, 0.7]))
+        mask = rng.randrange(1 << n)
+        inside = frozenset(iter_bits(mask))
+        for size in range(1, len(inside) + 2):
+            want = [c for c in brute_cliques(g, size) if c <= inside]
+            core = clique_core_in_mask(g, mask, size)
+            if not want:
+                assert core is None
+            else:
+                assert core == frozenset.intersection(*want)
+    # ids stay the graph's own: inside {5, 7, 9} the one K_2 is the edge 79
+    assert clique_core_in_mask(make_graph(10, [(7, 9)]), bitmask([5, 7, 9]), 2) == {7, 9}
+    with pytest.raises(ValueError):
+        clique_core_in_mask(complete_graph(3), 0b111, 0)
 
 
 def brute_max_stable(g):

@@ -191,7 +191,7 @@ def test_input_validation():
     g = complete_graph(4)
     with pytest.raises(ValueError):
         run(g, singletons(4), 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"missing \[3\]"):
         run(g, singletons(3), 2)  # partition misses a vertex
     with pytest.raises(ValueError):
         run(g, singletons(4), 2, seeds=frozenset({7}))

@@ -158,6 +158,8 @@ def test_budget_statuses():
     assert outcome.nodes <= 21  # the node that trips the cap is counted
     with pytest.raises(IndeterminateResultError):
         arrows(g, 4, 3, SearchBudget(node_cap=20))
+    with pytest.raises(IndeterminateResultError, match="enumeration incomplete"):
+        enumerate_critical_colorings(g, 4, 3, SearchBudget(node_cap=20))
 
 
 def test_assert_witness_rejects_each_bad_witness():

@@ -8,13 +8,14 @@ from test_search import FROZEN_MAX_RED_BLUE, lower_twins
 
 from cocritical import cli, search, verify
 from cocritical.canon import nonisomorphic_graphs
-from cocritical.coloring import make_coloring
+from cocritical.coloring import make_coloring, make_partition
 from cocritical.construction import ConstructionParams, blueprint_coloring, build
 from cocritical.graphs import (
     add_edge,
     complete_graph,
     cycle_graph,
     empty_graph,
+    make_graph,
     path_graph,
     twin_classes,
     twin_masks,
@@ -440,6 +441,54 @@ def test_saturation_checks_on_frozen_instance():
     assert not items["min_neighborhood_core"].applicable
     doc = report.to_json()
     assert doc["all_passed"] and set(doc["items"]) == set(items)
+
+
+# No verified instance so far meets the hypotheses of the two conditional
+# items (see test_saturation_checks_on_frozen_instance), so they are run
+# directly on hand-built cross graphs.
+
+
+def test_min_neighborhood_core_names_the_cross_graphs_edges():
+    # minimum cross degree 3 <= 2t - 5 at t = 4; vertex 0's neighbourhood
+    # {5, 7, 9} holds the one K_2 {7, 9}, which is therefore pinned
+    H = make_graph(10, [
+        (0, 5), (0, 7), (0, 9), (7, 9), (1, 2), (1, 3), (1, 4), (2, 3), (2, 4),
+        (3, 4), (5, 6), (5, 8), (6, 8), (6, 1), (8, 2), (7, 3), (9, 4),
+    ])
+    item = verify._min_neighborhood_core_item(H, 4, 4)
+    assert item.applicable and item.passed is False
+    assert [c["vertex"] for c in item.details["checked"]] == [0, 5, 6, 7, 8, 9]
+    failures = {f["vertex"]: f["pinned_edges"] for f in item.details["failures"]}
+    assert failures[0] == [[7, 9]]
+    assert failures == {0: [[7, 9]], 5: [[6, 8]], 6: [[5, 8]], 7: [[0, 9]], 8: [[5, 6]], 9: [[0, 7]]}
+    # the hypothesis needs k >= t
+    assert not verify._min_neighborhood_core_item(H, 4, 3).applicable
+
+
+def test_min_neighborhood_core_passes_and_counts_cliqueless_neighbourhoods():
+    # K_4: each neighbourhood is a triangle, whose three K_2 share nothing
+    item = verify._min_neighborhood_core_item(complete_graph(4), 4, 4)
+    assert item.applicable and item.passed
+    assert item.details["checked"] == [{"vertex": v, "core_size": 0} for v in range(4)]
+    # C_5: each neighbourhood is a non-adjacent pair, so it holds no K_2
+    item = verify._min_neighborhood_core_item(cycle_graph(5), 4, 4)
+    assert item.applicable and item.passed
+    assert item.details["checked"] == [{"vertex": v, "cliques": 0} for v in range(5)]
+    assert item.details["failures"] == []
+
+
+def test_forced_block_sizes_trigger():
+    # singleton 0 lies in the only K_1 of N(1) = {0}, so every block apart
+    # from 1's own that 1 does not dominate must have k - 1 = 2 vertices
+    H = make_graph(5, [(0, 1), (0, 3), (0, 4), (2, 3), (2, 4)])
+    item = verify._forced_block_sizes_item(H, make_partition([[0], [1, 2], [3, 4]]), 3, 3)
+    assert item.applicable and item.passed
+    assert item.details == {"triggered_pairs": 1, "failures": []}
+    item = verify._forced_block_sizes_item(H, make_partition([[0], [1, 2], [3], [4]]), 3, 3)
+    assert item.applicable and item.passed is False
+    assert item.details["triggered_pairs"] == 1
+    assert [f["block"] for f in item.details["failures"]] == [[3], [4]]
+    assert all(f["singleton"] == 0 and f["edge_end"] == 1 for f in item.details["failures"])
 
 
 def test_min_search_frozen_values():
