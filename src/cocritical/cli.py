@@ -5,7 +5,8 @@ builder), verify (co-criticality with structure checks), arrows (exhaustive
 coloring search), percolate (edge-count certificates), minsearch (smallest
 co-critical graphs), and props (property suites over a graph6 corpus).
 
-Machine-readable JSON goes to stdout, a short human summary to stderr.
+Each run prints one JSON report to stdout and a short human summary to
+stderr, except a usage or input error, which prints only its `error:` line.
 Exit codes are a stable contract: 0 success or determinate-true, 1
 determinate-false, 2 usage or input error, 3 indeterminate (a budget ran
 out before the answer was settled).
@@ -30,9 +31,11 @@ from .construction import (
 )
 from .graphs import Graph, complete_graph
 from .graph6 import emit_graph6, parse_graph6, parse_graph6_lines
-from .percolation import PercolationError, run as percolation_run
+from .percolation import PercolationError, check_threshold, run as percolation_run
 from .search import (
     BRUTE_FORCE_EDGE_CAP,
+    DEFAULT_NODE_CAP,
+    DEFAULT_TIME_CAP,
     EXHAUSTED,
     FOUND,
     IndeterminateResultError,
@@ -73,15 +76,6 @@ def _emit(command: str, inputs: dict, results: dict, timings: dict) -> None:
 
 def _say(msg: str) -> None:
     print(msg, file=sys.stderr)
-
-
-def _budget(args) -> SearchBudget:
-    kwargs = {}
-    if args.node_cap is not None:
-        kwargs["node_cap"] = args.node_cap
-    if args.time_cap is not None:
-        kwargs["time_cap"] = args.time_cap
-    return SearchBudget(**kwargs)
 
 
 def _parse_construct(text: str) -> ConstructionParams:
@@ -136,8 +130,10 @@ def _add_graph_source(sub: argparse.ArgumentParser) -> None:
 
 
 def _add_budget(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--node-cap", type=int, help="search node budget per search")
-    sub.add_argument("--time-cap", type=float, help="seconds per search")
+    sub.add_argument(
+        "--node-cap", type=int, default=DEFAULT_NODE_CAP, help="search node budget per search"
+    )
+    sub.add_argument("--time-cap", type=float, default=DEFAULT_TIME_CAP, help="seconds per search")
 
 
 def cmd_construct(args) -> int:
@@ -174,7 +170,7 @@ def cmd_verify(args) -> int:
     t0 = time.perf_counter()
     g, source = _load_graph(args)
     parse_ms = (time.perf_counter() - t0) * 1000
-    budget = _budget(args)
+    budget = SearchBudget(args.node_cap, args.time_cap)
     t0 = time.perf_counter()
     report = is_cocritical(g, args.t, args.k, budget)
     verify_ms = (time.perf_counter() - t0) * 1000
@@ -207,62 +203,54 @@ def cmd_verify(args) -> int:
 def cmd_arrows(args) -> int:
     t0 = time.perf_counter()
     g, source = _load_graph(args)
-    budget = _budget(args)
+    budget = SearchBudget(args.node_cap, args.time_cap)
     outcome = exists_critical_coloring(g, args.t, args.k, budget)
     total_ms = (time.perf_counter() - t0) * 1000
-    if outcome.status == FOUND:
-        answer = False
-        witness = [sorted(b) for b in outcome.witness.blocks]
-    elif outcome.status == EXHAUSTED:
-        answer = True
-        witness = None
-    else:
-        _emit(
-            "arrows",
-            {**source, "t": args.t, "k": args.k},
-            {"arrows": None, "status": outcome.status, "nodes": outcome.nodes},
-            {"total_ms": total_ms},
-        )
-        _say("indeterminate: budget exhausted")
-        return EXIT_INDETERMINATE
-    _emit(
-        "arrows",
-        {**source, "t": args.t, "k": args.k},
-        {
+    if outcome.status in (FOUND, EXHAUSTED):
+        answer = outcome.status == EXHAUSTED
+        results = {
             "arrows": answer,
-            "witness_blocks": witness,
+            "witness_blocks": None if answer else [sorted(b) for b in outcome.witness.blocks],
             "nodes": outcome.nodes,
             "status": outcome.status,
-        },
-        {"total_ms": total_ms},
-    )
-    _say(f"arrows: {answer}")
-    return EXIT_OK if answer else EXIT_FALSE
+        }
+        summary, code = f"arrows: {answer}", EXIT_OK if answer else EXIT_FALSE
+    else:
+        results = {"arrows": None, "status": outcome.status, "nodes": outcome.nodes}
+        summary, code = "indeterminate: budget exhausted", EXIT_INDETERMINATE
+    _emit("arrows", {**source, "t": args.t, "k": args.k}, results, {"total_ms": total_ms})
+    _say(summary)
+    return code
 
 
 def cmd_percolate(args) -> int:
     t0 = time.perf_counter()
-    budget = _budget(args)
+    budget = SearchBudget(args.node_cap, args.time_cap)
     g, source = _load_graph(args)
+    # usage errors come back before the max-red search can run
+    seeds = _parse_seeds(args.seed) if args.seed is not None else None
+    check_threshold(args.q)
+    inputs = {**source, "q": args.q, "seed": args.seed}
     if args.construct is not None:
+        if args.t is not None or args.k is not None:
+            raise ValueError(
+                "--construct takes its blueprint coloring and cannot be combined with --t/--k"
+            )
         blocks = blue_blocks(blueprint_coloring(_parse_construct(args.construct)))
     elif args.t is None or args.k is None:
         raise ValueError("--t and --k are required to derive a coloring")
     else:
         try:
-            tau = max_red_critical_coloring(g, args.t, args.k, budget)
-        except NoCriticalColoringError:
-            _emit(
-                "percolate",
-                {**source, "q": args.q, "seed": args.seed},
-                {"error": "graph admits no good coloring"},
-                {"total_ms": (time.perf_counter() - t0) * 1000},
-            )
-            _say("no good coloring: nothing to percolate")
-            return EXIT_FALSE
-        blocks = blue_blocks(tau)
+            blocks = blue_blocks(max_red_critical_coloring(g, args.t, args.k, budget))
+        except (NoCriticalColoringError, IndeterminateResultError) as exc:
+            total_ms = (time.perf_counter() - t0) * 1000
+            _emit("percolate", inputs, {"error": str(exc)}, {"total_ms": total_ms})
+            if isinstance(exc, NoCriticalColoringError):
+                _say("no good coloring: nothing to percolate")
+                return EXIT_FALSE
+            _say(f"indeterminate: {exc}")
+            return EXIT_INDETERMINATE
     H = cross_graph(g, blocks)
-    seeds = _parse_seeds(args.seed) if args.seed is not None else None
     derive_ms = (time.perf_counter() - t0) * 1000
     t0 = time.perf_counter()
     try:
@@ -270,34 +258,25 @@ def cmd_percolate(args) -> int:
             H, blocks, args.q, seeds=seeds, check_progress=not args.no_progress_check
         )
     except PercolationError as exc:
-        _emit(
-            "percolate",
-            {**source, "q": args.q, "seed": args.seed},
-            {"error": str(exc), "trail": list(exc.trail)},
-            {"derive_ms": derive_ms, "run_ms": (time.perf_counter() - t0) * 1000},
-        )
-        _say(f"percolation failed: {exc}")
-        return EXIT_FALSE
+        cert, results = None, {"error": str(exc), "trail": list(exc.trail)}
+        summary = f"percolation failed: {exc}"
     run_ms = (time.perf_counter() - t0) * 1000
-    results = cert.to_json()
-    results["cross_graph6"] = emit_graph6(H)
-    results["blocks"] = [sorted(b) for b in blocks.blocks]
-    _emit(
-        "percolate",
-        {**source, "q": args.q, "seed": args.seed},
-        results,
-        {"derive_ms": derive_ms, "run_ms": run_ms},
-    )
-    _say(
-        f"certified={cert.certified}: e(H)={cert.edges_total} >= "
-        f"{cert.q}*(n-|seeds|)={cert.edge_lower_bound} after {cert.iterations} iterations"
-    )
-    return EXIT_OK if cert.certified else EXIT_FALSE
+    if cert is not None:
+        results = cert.to_json()
+        results["cross_graph6"] = emit_graph6(H)
+        results["blocks"] = [sorted(b) for b in blocks.blocks]
+        summary = (
+            f"certified={cert.certified}: e(H)={cert.edges_total} >= "
+            f"{cert.q}*(n-|seeds|)={cert.edge_lower_bound} after {cert.iterations} iterations"
+        )
+    _emit("percolate", inputs, results, {"derive_ms": derive_ms, "run_ms": run_ms})
+    _say(summary)
+    return EXIT_OK if cert is not None and cert.certified else EXIT_FALSE
 
 
 def cmd_minsearch(args) -> int:
     t0 = time.perf_counter()
-    budget = _budget(args)
+    budget = SearchBudget(args.node_cap, args.time_cap)
     result = min_cocritical_search(args.t, args.k, args.n, budget)
     total_ms = (time.perf_counter() - t0) * 1000
     _emit(
@@ -356,7 +335,7 @@ def cmd_props(args) -> int:
     # parse_graph6_lines skips blank lines; keep each graph's line number
     numbers = [number for number, line in enumerate(text.splitlines(), 1) if line.strip()]
     parse_ms = (time.perf_counter() - t0) * 1000
-    budget = _budget(args)
+    budget = SearchBudget(args.node_cap, args.time_cap)
     t0 = time.perf_counter()
     rows = []
     failures = 0
@@ -449,9 +428,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except IndeterminateResultError as exc:
-        _say(f"indeterminate: {exc}")
-        return EXIT_INDETERMINATE
     except (ValueError, OSError) as exc:
         _say(f"error: {exc}")
         return EXIT_USAGE

@@ -187,6 +187,11 @@ def default_seed(g: Graph) -> int:
     return min(range(g.n), key=lambda v: (g.degree(v), v))
 
 
+def check_threshold(q: int) -> None:
+    if q < 1:
+        raise ValueError("threshold q must be at least 1")
+
+
 def run(
     g: Graph,
     partition: BlockPartition,
@@ -204,8 +209,7 @@ def run(
     """
     if g.n == 0:
         raise ValueError("graph has no vertices: nothing to percolate")
-    if q < 1:
-        raise ValueError("threshold q must be at least 1")
+    check_threshold(q)
     _check_cover(g, partition)
     if g.min_degree() < q:
         raise ValueError(

@@ -76,11 +76,6 @@ BRUTE_FORCE_EDGE_CAP = 20
 class IndeterminateResultError(RuntimeError):
     """A yes/no question could not be settled within the search budget."""
 
-    def __init__(self, message: str, nodes: int, millis: float):
-        super().__init__(message)
-        self.nodes = nodes
-        self.millis = millis
-
 
 class NoCriticalColoringError(ValueError):
     """An optimization over good colorings was asked of a graph that has none."""
@@ -342,9 +337,7 @@ def arrows(g: Graph, t: int, k: int, budget: SearchBudget | None = None) -> bool
     outcome = exists_critical_coloring(g, t, k, budget)
     if outcome.status == BUDGET_EXCEEDED:
         raise IndeterminateResultError(
-            f"arrowing undecided within budget after {outcome.nodes} nodes",
-            outcome.nodes,
-            outcome.millis,
+            f"arrowing undecided within budget after {outcome.nodes} nodes"
         )
     return outcome.status == EXHAUSTED
 
@@ -447,11 +440,9 @@ def enumerate_critical_colorings(g: Graph, t: int, k: int, budget: SearchBudget 
         results.extend((part_key, blue) for blue in _good_refinements(g, t, blocks, deadline=deadline))
         return len(results) >= ENUMERATION_CAP
 
-    status, nodes, millis = _walk_partitions(g, t, k, budget, on_partition)
+    status, nodes, _ = _walk_partitions(g, t, k, budget, on_partition)
     if status == BUDGET_EXCEEDED:
-        raise IndeterminateResultError(
-            f"enumeration incomplete after {nodes} nodes", nodes, millis
-        )
+        raise IndeterminateResultError(f"enumeration incomplete after {nodes} nodes")
     results.sort()
     return [make_coloring(g, blue) for _, blue in results[:ENUMERATION_CAP]]
 
@@ -476,11 +467,9 @@ def max_red_critical_coloring(g: Graph, t: int, k: int, budget: SearchBudget | N
             best["blue"] = blue
         return False
 
-    status, nodes, millis = _walk_partitions(g, t, k, budget, on_partition)
+    status, nodes, _ = _walk_partitions(g, t, k, budget, on_partition)
     if status == BUDGET_EXCEEDED:
-        raise IndeterminateResultError(
-            f"maximization incomplete after {nodes} nodes", nodes, millis
-        )
+        raise IndeterminateResultError(f"maximization incomplete after {nodes} nodes")
     if best["count"] is None:
         raise NoCriticalColoringError("graph admits no good coloring")
     coloring = make_coloring(g, best["blue"])

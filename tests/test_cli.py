@@ -232,13 +232,17 @@ def test_props_budget_exit(capsys, tmp_path):
 
 
 def test_percolate_budget_exit(capsys):
-    # the one route through main's IndeterminateResultError handler
+    # the max-red search runs out before a coloring is derived
     code, out, err = run_cli(
         capsys,
         "percolate", "--graph6", "L~GO?C?~~~f|N{", "--t", "4", "--k", "3", "--q", "3",
         "--node-cap", "1",
     )
-    assert code == 3 and out == ""
+    assert code == 3
+    doc = json.loads(out)
+    assert doc["inputs"] == {"graph6": "L~GO?C?~~~f|N{", "q": 3, "seed": None}
+    assert doc["results"] == {"error": "maximization incomplete after 2 nodes"}
+    assert list(doc["timings"]) == ["total_ms"]
     assert err == "indeterminate: maximization incomplete after 2 nodes\n"
 
 
@@ -468,6 +472,117 @@ def test_percolate_bad_seed_names_the_option(capsys):
     )
     assert code == 2
     assert "--seed" in err and "'1,,2'" in err
+
+
+# one case per exit of each subcommand that is not a usage error:
+# (command line, exit code, timings keys, stderr line); CORPUS is a file
+# holding DN{
+VERIFY_MS = "parse_ms verify_ms checks_ms"
+CERT_MS = "derive_ms run_ms"
+PROPS_MS = "parse_ms suite_ms"
+REPORT_EXITS = {
+    "construct-json": ("construct --t 4 --k 3 --n 13", 0, "build_ms", "built 13 vertices, 44 edges"),
+    "construct-graph6": (
+        "construct --t 4 --k 3 --n 13 --emit graph6", 0, "build_ms", "built 13 vertices, 44 edges"
+    ),
+    "verify-0": (
+        "verify --construct 4,3,13 --t 4 --k 3 --checks", 0, VERIFY_MS, "verdict: co-critical"
+    ),
+    "verify-1": ("verify --complete 5 --t 3 --k 3", 1, VERIFY_MS, "verdict: not-co-critical"),
+    "verify-3": (
+        "verify --construct 4,3,13 --t 4 --k 3 --node-cap 10", 3, VERIFY_MS, "verdict: indeterminate"
+    ),
+    "arrows-0": ("arrows --complete 5 --t 3 --k 3", 0, "total_ms", "arrows: True"),
+    "arrows-1": ("arrows --complete 4 --t 3 --k 3", 1, "total_ms", "arrows: False"),
+    "arrows-3": (
+        "arrows --complete 7 --t 4 --k 3 --node-cap 20", 3, "total_ms",
+        "indeterminate: budget exhausted",
+    ),
+    "percolate-0-blueprint": (
+        "percolate --construct 4,3,13 --q 3", 0, CERT_MS,
+        "certified=True: e(H)=38 >= 3*(n-|seeds|)=27 after 3 iterations",
+    ),
+    "percolate-0-max-red": (
+        "percolate --graph6 C~ --t 3 --k 3 --q 2", 0, CERT_MS,
+        "certified=True: e(H)=4 >= 2*(n-|seeds|)=2 after 1 iterations",
+    ),
+    "percolate-1-no-coloring": (
+        "percolate --complete 5 --t 3 --k 3 --q 2", 1, "total_ms",
+        "no good coloring: nothing to percolate",
+    ),
+    "percolate-1-progress": (
+        "percolate --graph6 E@Q? --t 3 --k 2 --q 1", 1, CERT_MS,
+        "percolation failed: iteration 1: bad vertex 2 gained 0 < 1/2",
+    ),
+    "percolate-1-uncertified": (
+        "percolate --graph6 E@Q? --t 3 --k 2 --q 1 --no-progress-check", 1, CERT_MS,
+        "certified=False: e(H)=3 >= 1*(n-|seeds|)=3 after 2 iterations",
+    ),
+    "percolate-3": (
+        "percolate --graph6 L~GO?C?~~~f|N{ --t 4 --k 3 --q 3 --node-cap 1", 3, "total_ms",
+        "indeterminate: maximization incomplete after 2 nodes",
+    ),
+    "minsearch-0": (
+        "minsearch --t 3 --k 3 --n 5", 0, "total_ms", "minimum edges: 8 (1 witnesses, complete=True)"
+    ),
+    "minsearch-1": (
+        "minsearch --t 3 --k 3 --n 4", 1, "total_ms",
+        "minimum edges: None (0 witnesses, complete=True)",
+    ),
+    "minsearch-3": (
+        "minsearch --t 3 --k 3 --n 5 --node-cap 1", 3, "total_ms",
+        "minimum edges: None (0 witnesses, complete=False)",
+    ),
+    "props-0": ("props --corpus CORPUS", 0, PROPS_MS, "1 graphs: 0 failures, 0 indeterminate"),
+    "props-1": ("props --corpus CORPUS", 1, PROPS_MS, "1 graphs: 1 failures, 0 indeterminate"),
+    "props-3": (
+        "props --corpus CORPUS --node-cap 1", 3, PROPS_MS, "1 graphs: 0 failures, 1 indeterminate"
+    ),
+}
+
+
+@pytest.mark.parametrize("line, code, timings, summary", REPORT_EXITS.values(), ids=REPORT_EXITS)
+def test_every_report_exit_prints_one_report(
+    capsys, tmp_path, monkeypatch, line, code, timings, summary
+):
+    corpus = tmp_path / "corpus.g6"
+    corpus.write_text("DN{\n")
+    argv = [str(corpus) if a == "CORPUS" else a for a in line.split()]
+    if argv[0] == "props" and code == 1:
+        # no graph fails a theorem, so a failed check is simulated
+        monkeypatch.setattr(cli, "hajnal_check", lambda g: stable.HajnalResult(False, 0, 0, 0))
+    got_code, out, err = run_cli(capsys, *argv)
+    if "--emit" in argv:
+        first, out = out.split("\n", 1)
+        assert parse_graph6(first).n == 13
+    doc = json.loads(out)
+    assert (got_code, err) == (code, summary + "\n")
+    assert list(doc) == ["command", "inputs", "results", "timings", "version"]
+    assert doc["command"] == argv[0] and list(doc["timings"]) == timings.split()
+
+
+# without the early checks these would run the max-red search first and end
+# as it ends (exit 1 or 3), or ignore --t/--k under the blueprint (exit 0)
+L_GRAPH = ("--graph6", "L~GO?C?~~~f|N{", "--t", "4", "--k", "3", "--node-cap", "1")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("--complete", "5", "--t", "3", "--k", "3", "--q", "2", "--seed", "x"), "--seed expects"),
+        (("--complete", "5", "--t", "3", "--k", "3", "--q", "0"), "threshold q must be at least 1"),
+        ((*L_GRAPH, "--q", "0"), "threshold q must be at least 1"),
+        ((*L_GRAPH, "--q", "3", "--seed", "1,,2"), "--seed expects"),
+        (
+            ("--construct", "4,3,13", "--t", "9", "--k", "9", "--q", "2"),
+            "--construct takes its blueprint coloring and cannot be combined with --t/--k",
+        ),
+    ],
+)
+def test_percolate_usage_error_precedes_the_coloring(capsys, argv, message):
+    code, out, err = run_cli(capsys, "percolate", *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and message in err
 
 
 def test_entry_point_subprocess():

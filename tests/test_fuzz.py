@@ -2,10 +2,12 @@
 command line options and the graph files that commands read.
 
 Bad input must come back as a located ValueError from the parser, and as
-exit code 2 with an `error:` line (never a traceback) from the command line.
+exit code 2 with an `error:` line (never a traceback) and an empty stdout
+from the command line; every other exit prints one JSON report.
 Examples are derandomized so that the suite stays deterministic.
 """
 
+import json
 import re
 
 import pytest
@@ -78,16 +80,20 @@ TIME_CAP = st.one_of(st.integers(-3, 100).map(str), NOISE)
 
 
 def exit_code(capsys, argv):
-    """Exit code of cli.main on argv, checking the usage-error contract."""
+    """Exit code of cli.main on argv, checking the usage-error contract and
+    the stdout contract: one JSON report on exits 0, 1 and 3, nothing on 2."""
     try:
         code = cli.main(argv)
     except SystemExit as exc:  # argparse rejects the option itself
         code = exc.code
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert code in (0, 1, 2, 3), (argv, code)
     assert "Traceback" not in err, argv
     if code == 2:
         assert "error:" in err, (argv, err)
+        assert out == "", argv
+    else:
+        assert json.loads(out)["command"] == argv[0], argv
     return code
 
 
