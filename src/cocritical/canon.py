@@ -118,20 +118,9 @@ def _label(n: int, rows: Sequence[int], autos: bool = False) -> tuple[tuple[int,
     return key, [tuple(pos[v] for v in o) for o in orders] if autos else []
 
 
-def canonical_graph(g: Graph) -> Graph:
-    """The canonical representative of g's isomorphism class."""
-    return Graph(g.n, _label(g.n, g.adj)[0])
-
-
 def canonical_key(g: Graph) -> tuple[int, ...]:
     """Hashable isomorphism-class fingerprint: canonical adjacency rows."""
     return _label(g.n, g.adj)[0]
-
-
-def are_isomorphic(a: Graph, b: Graph) -> bool:
-    if a.n != b.n or a.edge_count() != b.edge_count():
-        return False
-    return canonical_key(a) == canonical_key(b)
 
 
 def _attachments(m: int, rows: tuple[int, ...], perms: list[Perm]) -> list[int]:

@@ -183,18 +183,6 @@ def disjoint_union(a: Graph, b: Graph) -> Graph:
     return Graph(a.n + b.n, tuple(rows))
 
 
-def relabel(g: Graph, perm: Iterable[int]) -> Graph:
-    """Apply a permutation: vertex v of g becomes perm[v] of the result."""
-    p = list(perm)
-    if sorted(p) != list(range(g.n)):
-        raise ValueError("not a permutation of the vertex set")
-    rows = [0] * g.n
-    for v in range(g.n):
-        for u in iter_bits(g.adj[v]):
-            rows[p[v]] |= 1 << p[u]
-    return Graph(g.n, tuple(rows))
-
-
 def components(g: Graph) -> list[frozenset[int]]:
     """Connected components as vertex sets, ordered by smallest member."""
     seen = 0
@@ -245,22 +233,6 @@ def twin_masks(g: Graph) -> list[int]:
         out.append(opened[row] if mask == bit else mask)
         bit <<= 1
     return out
-
-
-def is_connected_mask(g: Graph, mask: int) -> bool:
-    """Does the subgraph induced on the vertices of mask form one component?"""
-    if mask == 0:
-        return False
-    start = mask & -mask
-    comp = start
-    frontier = start
-    while frontier:
-        grown = 0
-        for u in iter_bits(frontier):
-            grown |= g.adj[u]
-        frontier = grown & mask & ~comp
-        comp |= frontier
-    return comp == mask
 
 
 # --- cliques ---------------------------------------------------------------
@@ -346,6 +318,53 @@ def clique_core_in_mask(g: Graph, mask: int, size: int) -> frozenset[int] | None
     induced mask, or None when the mask holds no such clique."""
     cliques = enumerate_cliques_in_mask(g, mask, size)
     return frozenset.intersection(*cliques) if cliques else None
+
+
+def maximal_cliques(g: Graph, floor: int = 1, cap: int | None = None) -> list[int]:
+    """Masks of the maximal cliques of g on at least `floor` vertices, at
+    most `cap` of them (all when None).
+
+    Bron–Kerbosch with Tomita pivoting (Tomita, Tanaka and Takahashi, TCS
+    2006): a call holds a clique R, the candidates P that extend it and the
+    vertices X that extend it but were tried before, and reports R when P
+    and X are both empty.  It branches only on the candidates outside the
+    neighbourhood of a pivot u in P | X with the most neighbours in P.  A
+    clique that adds to R only neighbours of u is not maximal, since u,
+    which is adjacent to all of R, extends it; so every maximal clique
+    through R holds a branch vertex and is reported on the branch of the
+    first one it holds.
+
+    A vertex of degree below floor - 1 lies in no clique on floor vertices,
+    so it is dropped before enumerating; that keeps every large maximal
+    clique and adds no new one, since a vertex extending a clique on floor
+    vertices has degree at least floor.  A call is cut when R with all of P
+    stays below floor, which also rejects a smaller maximal clique at the
+    leaf.
+    """
+    if floor < 1:
+        raise ValueError("clique floor must be at least 1")
+    adj = g.adj
+    out: list[int] = []
+
+    def expand(clique: int, size: int, cand: int, done: int) -> None:
+        if size + cand.bit_count() < floor:
+            return
+        if not cand:
+            if not done:
+                out.append(clique)
+            return
+        pivot = max(iter_bits(cand | done), key=lambda u: (adj[u] & cand).bit_count())
+        branch = cand & ~adj[pivot]
+        while branch and len(out) != cap:
+            low = branch & -branch
+            branch ^= low
+            row = adj[low.bit_length() - 1]
+            expand(clique | low, size + 1, cand & row, done & row)
+            cand ^= low
+            done |= low
+
+    expand(0, 0, sum(1 << v for v, row in enumerate(adj) if row.bit_count() >= floor - 1), 0)
+    return out
 
 
 # --- stable sets -----------------------------------------------------------

@@ -14,12 +14,15 @@ crossed edge, which keeps the pruning test local and cheap.  Cross edges only
 accumulate along a branch, so pruning is monotone-safe and a completed walk is
 a proof of exhaustion.
 
-Three rules prune the walk, each argued in _walk_partitions:
+Four rules prune the walk, each argued in _walk_partitions:
 
 - the clique test: a placement whose new cross edges close a K_t is dropped;
 - the forced-merge lookahead, always on: a placement that forces more than
-  k-1 unplaced vertices into one block is dropped.  It cuts only subtrees
-  without a leaf, so every search visits the same leaves in the same order;
+  k-1 unplaced vertices into one block is dropped;
+- the clique-capacity lookahead, always on: a placement after which some
+  clique of g must meet more than t-1 blocks is dropped.  This and the
+  forced-merge rule cut only subtrees without a leaf, so every search visits
+  the same leaves in the same order;
 - the twin rule, only in the co-criticality walk (verify.is_cocritical): of
   partitions that differ by permuting twins, only the lex-leader is kept.
   The standalone searches here visit every good partition.
@@ -61,6 +64,7 @@ from .graphs import (
     _clique_rec,
     enumerate_cliques,
     iter_bits,
+    maximal_cliques,
 )
 
 FOUND = "found"
@@ -70,6 +74,9 @@ BUDGET_EXCEEDED = "budget_exceeded"
 DEFAULT_NODE_CAP = 10**8
 DEFAULT_TIME_CAP = 600.0
 ENUMERATION_CAP = 10**6
+# the walk tests every kept clique that meets a new block, and a graph may
+# have exponentially many large maximal cliques; any subset keeps the rule sound
+CAPACITY_CLIQUE_CAP = 256
 BRUTE_FORCE_EDGE_CAP = 20
 
 
@@ -149,6 +156,40 @@ def _walk_partitions(g: Graph, t: int, k: int, budget: SearchBudget, on_partitio
     inside the rest, so the check is skipped when the rest has at most k - 1
     vertices.
 
+    Clique capacity.  Let C be a clique of g.  One vertex from each block
+    that meets C gives a clique of the cross graph, so in every leaf at most
+    t - 1 blocks meet C (Chvatal's r(K_t, T_k) = (t - 1)(k - 1) + 1 applied
+    to C).  Placed blocks are final, and the vertices of C in the rest go
+    into new blocks of at most k - 1 vertices each.  So a placement after
+    which m placed blocks meet C and r vertices of C lie in the rest has no
+    leaf below it when m + ceil(r / (k - 1)) > t - 1.  The same holds for any
+    set of cliques of g.  A clique inside a larger one never fires alone,
+    since m and r only grow with the clique, so the walk takes the maximal
+    cliques of g on at least
+    2k vertices (graphs.maximal_cliques, at most CAPACITY_CLIQUE_CAP of them)
+    and keeps each one's m in the tail of cross, past the vertex rows, so
+    the per-placement copy carries it and nothing is undone.  Only the
+    cliques that meet the new block change, so only they are tested.
+
+    Cliques on fewer than 2k vertices would cut no node that the other
+    rules leave.  Say the test fires on C at a placement of block B, so C
+    meets B and m >= 1.  If m >= t, one vertex of C from B and from each of
+    t - 1 earlier blocks form a K_t that the clique test dropped when the
+    last of those earlier blocks was placed, so the walk never gets here.
+    If m = t - 1, firing needs r >= 1, and a vertex w of C in the rest is
+    joined by final cross edges to one vertex of C in each of the m placed
+    blocks: a K_t through the new edge from B to w, which the clique test
+    drops at this node.  If m = t - 2 and r >= k, those t - 2
+    vertices lie in cross[w] & cross[x] for every two vertices w, x of C in
+    the rest, so all r of them form one forced group of more than k - 1
+    vertices, and the forced-merge lookahead drops this node.  If m = t - 2
+    and r <= k - 1 the test does not fire.  If m <= t - 3, firing needs
+    ceil(r / (k - 1)) >= 3, so r >= 2k - 1 and, with the vertex in B,
+    |C| >= 2k.  Like the forced-merge rule, this one cuts only subtrees that
+    hold no leaf, so the leaf sequence, the twin rule below, the first leaf,
+    fail_fast's first settling leaf and the max-red tie-break are the same
+    with or without it.
+
     lower_twins, when given, holds per vertex the mask of its twins
     (graphs.twin_classes) with smaller ids, and the walk keeps only the
     partitions that obey the lex-leader rule of Crawford, Ginsberg, Luks and
@@ -187,6 +228,8 @@ def _walk_partitions(g: Graph, t: int, k: int, budget: SearchBudget, on_partitio
     adj = g.adj
     limit = k - 1
     need = t - 2
+    # (index of its count in the tail of cross, mask) per large maximal clique
+    capacity = list(enumerate(maximal_cliques(g, 2 * k, CAPACITY_CLIQUE_CAP), g.n))
     has_lower = 0 if lower_twins is None else sum(1 << v for v, m in enumerate(lower_twins) if m)
     blocks: list[int] = []
     start = time.perf_counter()
@@ -229,6 +272,14 @@ def _walk_partitions(g: Graph, t: int, k: int, budget: SearchBudget, on_partitio
             if lower_twins[w_bit.bit_length() - 1] & rest:
                 return
         cross = cross[:]
+        # the clique-capacity lookahead: cross[i] counts the placed blocks
+        # that meet clique c
+        for i, c in capacity:
+            if c & block:
+                met = cross[i] + 1
+                if met + -(-(c & rest).bit_count() // limit) > t - 1:
+                    return
+                cross[i] = met
         bm = block
         while bm:
             u_bit = bm & -bm
@@ -244,7 +295,8 @@ def _walk_partitions(g: Graph, t: int, k: int, budget: SearchBudget, on_partitio
                 if _clique_rec(cross, cross[u] & cross[w], need):
                     return
         if rest.bit_count() > limit:
-            # the lookahead: group[v] is v's forced group, when v has one
+            # the forced-merge lookahead: group[v] is v's forced group, when
+            # v has one
             group = {}
             wm = rest
             while wm:
@@ -272,7 +324,7 @@ def _walk_partitions(g: Graph, t: int, k: int, budget: SearchBudget, on_partitio
         blocks.pop()
 
     try:
-        place(g.vertex_mask, [0] * g.n)
+        place(g.vertex_mask, [0] * (g.n + len(capacity)))
         status = EXHAUSTED
     except _Stop:
         status = FOUND

@@ -8,10 +8,9 @@ common core.  Both are checked on explicit, exhaustively enumerated families;
 nothing is sampled.
 
 The clique core is the mirror notion: the vertices common to every clique of
-a given order.  ``clique_core`` asks it of the whole graph through
-``graphs.clique_core_in_mask``, the one routine that answers it; the
-structure checks in ``verify`` ask the same routine about neighbourhoods of
-the cross graph directly.
+a given order.  ``graphs.clique_core_in_mask`` is the one routine that
+answers it; the structure checks in ``verify`` ask it about neighbourhoods
+of the cross graph.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .graphs import Graph, clique_core_in_mask, max_stable_sets
+from .graphs import Graph, max_stable_sets
 
 
 @dataclass(frozen=True)
@@ -95,16 +94,3 @@ def stable_intersection_check(g: Graph) -> StableIntersectionResult:
         (u,) = stats.intersection
         moreover_passed = 2 * alpha == n + 1 and g.degree(u) == 0
     return StableIntersectionResult(True, passed, alpha, delta, core, bound, moreover, moreover_passed)
-
-
-def clique_core(g: Graph, size: int) -> frozenset[int]:
-    """Vertices common to every clique on `size` vertices: the whole-graph
-    case of graphs.clique_core_in_mask.
-
-    A size with no cliques at all is an error: the core of nothing is not a
-    meaningful set.
-    """
-    core = clique_core_in_mask(g, g.vertex_mask, size)
-    if core is None:
-        raise ValueError(f"graph has no clique on {size} vertices")
-    return core

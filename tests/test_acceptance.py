@@ -6,11 +6,15 @@ checks are exact: integer counts, rational equalities via Fraction, and
 set-level agreements, with wall-clock ceilings where the criterion names one.
 """
 
+import contextlib
+import io
+import json
 import random
 import time
 from fractions import Fraction
 
 from cocritical.canon import nonisomorphic_graphs
+from cocritical.cli import main
 from cocritical.coloring import blue_blocks, cross_graph, is_critical
 from cocritical.construction import (
     ConstructionParams,
@@ -259,3 +263,25 @@ def test_a8_minimum_witnesses():
                 problems.append(f"{tag} has a structurally invalid good coloring")
     report(8, "minimum witnesses exist, stay under the edge cap, and re-verify by brute force",
            problems, f"{len(witnesses)} witnesses on 5..7 vertices")
+
+
+def test_a9_theorem_regime_4_6_33_verified():
+    # k = 6 >= max{6, t}: the first instance in the regime of the paper's
+    # theorem, verified through the CLI under the default budget
+    t0 = time.perf_counter()
+    problems = []
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["verify", "--construct", "4,6,33", "--t", "4", "--k", "6", "--checks"])
+    res = json.loads(out.getvalue())["results"]
+    if code != 0 or res["verdict"] != CO_CRITICAL or not res["complete"]:
+        problems.append(f"exit {code}, verdict {res['verdict']}, complete {res['complete']}")
+    if res["non_edges"] != 285 or res["failures"]:
+        problems.append(f"{res['non_edges']} non-edges, failures {res['failures'][:4]}")
+    if not res["structure"]["all_passed"] or res["coloring_structure_violations"]:
+        problems.append(f"structure checks: {res['coloring_structure_violations']}")
+    if res["nodes"] != 382685:
+        problems.append(f"walk took {res['nodes']} nodes, pinned 382,685")
+    elapsed = time.perf_counter() - t0
+    report(9, "verify --construct 4,6,33 --checks is co-critical and every check passes",
+           problems, f"{res['nodes']} nodes, {elapsed:.1f}s")

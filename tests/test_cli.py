@@ -67,7 +67,7 @@ def test_verify_frozen_instance(capsys):
     assert code == 0
     res = doc["results"]
     assert res["verdict"] == "co-critical" and res["complete"]
-    assert res["nodes"] == 65
+    assert res["nodes"] == 60
     assert res["structure"]["all_passed"]
     assert res["coloring_structure_violations"] == []
     timings = doc["timings"]
@@ -86,7 +86,7 @@ def test_verify_reports_a_walk_without_leaves(capsys):
     code, doc = run_json(capsys, "verify", "--complete", "7", "--t", "4", "--k", "3")
     assert code == 1
     res = doc["results"]
-    assert res["base_status"] == "exhausted" and res["nodes"] == 18
+    assert res["base_status"] == "exhausted" and res["nodes"] == 7
 
 
 def test_verify_budget_exit(capsys):
@@ -100,16 +100,18 @@ def test_verify_budget_exit(capsys):
 
 
 def test_verify_time_cap_exit(capsys):
+    # the (4,5,28) walk takes 22,606 nodes, so the clock read at node 1,025
+    # comes well after 1 ms
     code, doc = run_json(
         capsys,
-        "verify", "--construct", "4,4,18", "--t", "4", "--k", "4",
+        "verify", "--construct", "4,5,28", "--t", "4", "--k", "5",
         "--time-cap", "0.001",
     )
     assert code == 3
 
 
 def test_time_cap_binds_a_short_walk(capsys):
-    # the (5,3,17) walk takes 696 nodes, fewer than the 1,024 between clock
+    # the (5,3,17) walk takes 529 nodes, fewer than the 1,024 between clock
     # reads; the clock is read at node 1 too
     code, doc = run_json(
         capsys,
@@ -151,7 +153,7 @@ def test_arrows_true_false(capsys):
 def test_arrows_budget(capsys):
     code, doc = run_json(
         capsys,
-        "arrows", "--complete", "7", "--t", "4", "--k", "3", "--node-cap", "20",
+        "arrows", "--complete", "7", "--t", "4", "--k", "3", "--node-cap", "5",
     )
     assert code == 3
     assert doc["results"]["arrows"] is None
@@ -495,7 +497,7 @@ REPORT_EXITS = {
     "arrows-0": ("arrows --complete 5 --t 3 --k 3", 0, "total_ms", "arrows: True"),
     "arrows-1": ("arrows --complete 4 --t 3 --k 3", 1, "total_ms", "arrows: False"),
     "arrows-3": (
-        "arrows --complete 7 --t 4 --k 3 --node-cap 20", 3, "total_ms",
+        "arrows --complete 7 --t 4 --k 3 --node-cap 5", 3, "total_ms",
         "indeterminate: budget exhausted",
     ),
     "percolate-0-blueprint": (

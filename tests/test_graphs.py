@@ -23,12 +23,11 @@ from cocritical.graphs import (
     enumerate_cliques,
     enumerate_cliques_in_mask,
     has_clique,
-    is_connected_mask,
     iter_bits,
     make_graph,
     max_stable_sets,
+    maximal_cliques,
     path_graph,
-    relabel,
     twin_classes,
 )
 
@@ -36,6 +35,27 @@ from cocritical.graphs import (
 def rand_graph(rng, n, p=0.5):
     edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
     return make_graph(n, edges)
+
+
+def relabel(g, perm):
+    """Oracle helper: vertex v of g becomes perm[v] of the result."""
+    assert sorted(perm) == list(range(g.n))
+    return make_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def is_connected_mask(g, mask):
+    """Oracle helper: does the subgraph induced on mask form one component?"""
+    if mask == 0:
+        return False
+    comp = mask & -mask
+    frontier = comp
+    while frontier:
+        grown = 0
+        for u in iter_bits(frontier):
+            grown |= g.adj[u]
+        frontier = grown & mask & ~comp
+        comp |= frontier
+    return comp == mask
 
 
 def test_make_graph_validates():
@@ -160,6 +180,42 @@ def test_clique_core_in_mask_against_brute_force():
     assert clique_core_in_mask(make_graph(10, [(7, 9)]), bitmask([5, 7, 9]), 2) == {7, 9}
     with pytest.raises(ValueError):
         clique_core_in_mask(complete_graph(3), 0b111, 0)
+
+
+def test_maximal_cliques_against_networkx():
+    # every floor from 1 to n + 1 on every class up to 7 vertices and on
+    # seeded G(n, p) graphs up to 24 vertices
+    nx = pytest.importorskip("networkx")
+    graphs = [g for n in range(1, 8) for g in nonisomorphic_graphs(n)]
+    rng = random.Random(2006)
+    for _ in range(120):
+        graphs.append(rand_graph(rng, rng.randrange(1, 25), rng.choice([0.3, 0.6, 0.9])))
+    for g in graphs:
+        h = nx.Graph()
+        h.add_nodes_from(range(g.n))
+        h.add_edges_from(g.edges())
+        want = sorted((len(c), bitmask(c)) for c in nx.find_cliques(h))
+        for floor in range(1, g.n + 2):
+            got = sorted(maximal_cliques(g, floor))
+            assert got == sorted(m for size, m in want if size >= floor), (g.adj, floor)
+
+
+def test_maximal_cliques_edge_cases():
+    assert maximal_cliques(empty_graph(0)) == []
+    assert maximal_cliques(empty_graph(3)) == [0b001, 0b010, 0b100]
+    assert maximal_cliques(empty_graph(3), 2) == []
+    # every vertex of K_6 has degree 5 = floor - 1, so the degree filter
+    # keeps them all; the pendant vertex 6 goes, and so does its edge
+    g = make_graph(7, [(u, v) for u in range(6) for v in range(u + 1, 6)] + [(0, 6)])
+    assert maximal_cliques(g, 6) == [0b0111111]
+    assert sorted(maximal_cliques(g, 2)) == [0b0111111, 0b1000001]
+    assert maximal_cliques(g, 7) == []
+    # three disjoint triangles; the cap stops the enumeration at two
+    triangles = disjoint_union(complete_graph(3), disjoint_union(complete_graph(3), complete_graph(3)))
+    assert len(maximal_cliques(triangles, 3)) == 3
+    assert len(maximal_cliques(triangles, 3, cap=2)) == 2
+    with pytest.raises(ValueError):
+        maximal_cliques(g, 0)
 
 
 def brute_max_stable(g):

@@ -1,11 +1,12 @@
 """Partition-walking search against the independent 2^e brute-force oracle
-and against a test-local walk without the forced-merge lookahead, plus the
-arrowing thresholds it must reproduce."""
+and against test-local walks without the forced-merge and clique-capacity
+lookaheads, plus the arrowing thresholds it must reproduce."""
 
 import random
 from itertools import combinations, product
 
 import pytest
+from test_graphs import is_connected_mask
 
 from cocritical import search
 from cocritical.canon import nonisomorphic_graphs
@@ -23,7 +24,6 @@ from cocritical.graphs import (
     bitmask,
     complete_graph,
     has_clique,
-    is_connected_mask,
     iter_bits,
     make_graph,
     twin_masks,
@@ -150,16 +150,16 @@ def test_max_red_minimizes_blue():
 
 
 def test_budget_statuses():
-    # the whole walk of K_7 takes 43 nodes
+    # the whole walk of K_7 takes 7 nodes
     g = complete_graph(7)
-    outcome = exists_critical_coloring(g, 4, 3, SearchBudget(node_cap=20))
+    outcome = exists_critical_coloring(g, 4, 3, SearchBudget(node_cap=5))
     assert outcome.status == BUDGET_EXCEEDED
     assert outcome.witness is None
-    assert outcome.nodes <= 21  # the node that trips the cap is counted
+    assert outcome.nodes <= 6  # the node that trips the cap is counted
     with pytest.raises(IndeterminateResultError):
-        arrows(g, 4, 3, SearchBudget(node_cap=20))
+        arrows(g, 4, 3, SearchBudget(node_cap=5))
     with pytest.raises(IndeterminateResultError, match="enumeration incomplete"):
-        enumerate_critical_colorings(g, 4, 3, SearchBudget(node_cap=20))
+        enumerate_critical_colorings(g, 4, 3, SearchBudget(node_cap=5))
 
 
 def test_assert_witness_rejects_each_bad_witness():
@@ -438,22 +438,24 @@ def lower_twins(g):
     return [m & ((1 << v) - 1) for v, m in enumerate(twin_masks(g))]
 
 
-def ruleless_walk(g, t, k, on_partition, lower_twins=None):
-    """The partition walk without the forced-merge lookahead, as a test-local
-    oracle: blocks grown in the same order, the clique test on new cross
-    edges and the twin rule, and nothing else.  Returns (status, nodes)."""
+class OracleStop(Exception):
+    pass
+
+
+def ruleless_walk(g, t, k, on_partition, lower_twins=None, forced_merge=False):
+    """The partition walk without the clique-capacity lookahead, as a
+    test-local oracle: blocks grown in the same order, the clique test on new
+    cross edges and the twin rule, plus the forced-merge lookahead when
+    forced_merge is set, and nothing else.  Returns (status, nodes)."""
     adj, limit, need = g.adj, k - 1, t - 2
     has_lower = 0 if lower_twins is None else sum(1 << v for v, m in enumerate(lower_twins) if m)
     blocks = []
     nodes = 0
 
-    class Stop(Exception):
-        pass
-
     def place(unassigned, cross):
         if unassigned == 0:
             if on_partition(blocks):
-                raise Stop
+                raise OracleStop
             return
         v0_bit = unassigned & -unassigned
         grow(v0_bit, adj[v0_bit.bit_length() - 1], 0, unassigned, cross)
@@ -484,44 +486,74 @@ def ruleless_walk(g, t, k, on_partition, lower_twins=None):
                 cross[w] |= 1 << u
                 if _clique_rec(cross, cross[u] & cross[w], need):
                     return
+        if forced_merge and rest.bit_count() > limit:
+            group = {}
+            for w in iter_bits(rest):
+                for x in iter_bits(adj[w] & rest & -(2 << w)):
+                    if _clique_rec(cross, cross[w] & cross[x], need):
+                        merged = group.get(w, 1 << w) | group.get(x, 1 << x)
+                        if merged.bit_count() > limit:
+                            return
+                        for y in iter_bits(merged):
+                            group[y] = merged
         blocks.append(block)
         place(rest, cross)
         blocks.pop()
 
     try:
         place(g.vertex_mask, [0] * g.n)
-    except Stop:
+    except OracleStop:
         return FOUND, nodes
     return EXHAUSTED, nodes
 
 
-def leaf_sequences(g, t, k, twins):
-    """(status, leaves) of the walk and of the ruleless oracle, in walk order,
-    and the node counts of both."""
-    lower = lower_twins(g) if twins else None
-    got, want = [], []
+def walk_in_order(g, t, k, lower):
+    """((status, leaves in walk order), nodes) of the walk."""
+    got = []
     status, nodes, _ = _walk_partitions(
         g, t, k, SearchBudget(), lambda blocks: got.append(tuple(blocks)), lower_twins=lower
     )
-    oracle_status, oracle_nodes = ruleless_walk(
-        g, t, k, lambda blocks: want.append(tuple(blocks)), lower
-    )
-    return (status, got), (oracle_status, want), nodes, oracle_nodes
+    return (status, got), nodes
+
+
+def oracle_in_order(g, t, k, lower, forced_merge):
+    """((status, leaves in walk order), nodes) of the ruleless oracle."""
+    want = []
+    status, nodes = ruleless_walk(g, t, k, lambda blocks: want.append(tuple(blocks)), lower, forced_merge)
+    return (status, want), nodes
+
+
+def leaf_sequences(g, t, k, twins, forced_merge=False):
+    """(status, leaves) of the walk and of the ruleless oracle, in walk order,
+    and the node counts of both."""
+    lower = lower_twins(g) if twins else None
+    mine, nodes = walk_in_order(g, t, k, lower)
+    oracle, oracle_nodes = oracle_in_order(g, t, k, lower, forced_merge)
+    return mine, oracle, nodes, oracle_nodes
+
+
+CAPACITY_PAIRS = PAIRS + ((3, 5), (4, 4))
 
 
 def test_lookahead_keeps_the_leaf_sequence():
-    # the lookahead cuts only subtrees without a leaf: every class on 1-7
-    # vertices gives the oracle's leaves in the oracle's order
-    cut = 0
+    # the lookaheads cut only subtrees without a leaf: on every class on 1-7
+    # vertices, with and without the twin rule, the walk gives the leaves of
+    # the oracle without the capacity rule (on CAPACITY_PAIRS) and of the
+    # oracle without either lookahead (on PAIRS), in the oracle's order; a
+    # class without twins walks the same either way, so it walks once
+    cut = {True: 0, False: 0}
     for n in range(1, 8):
         for g in nonisomorphic_graphs(n):
-            for t, k in PAIRS:
-                for twins in (False, True):
-                    mine, oracle, nodes, oracle_nodes = leaf_sequences(g, t, k, twins)
-                    assert mine == oracle, (g.adj, t, k, twins)
-                    assert nodes <= oracle_nodes
-                    cut += oracle_nodes - nodes
-    assert cut > 0
+            twins = lower_twins(g)
+            for t, k in CAPACITY_PAIRS:
+                for lower in (None, twins) if any(twins) else (None,):
+                    mine, nodes = walk_in_order(g, t, k, lower)
+                    for forced_merge in (True, False) if (t, k) in PAIRS else (True,):
+                        oracle, oracle_nodes = oracle_in_order(g, t, k, lower, forced_merge)
+                        assert mine == oracle, (g.adj, t, k, lower, forced_merge)
+                        assert nodes <= oracle_nodes
+                        cut[forced_merge] += oracle_nodes - nodes
+    assert 0 < cut[True] < cut[False]
 
 
 @pytest.mark.parametrize(
@@ -536,10 +568,43 @@ def test_lookahead_keeps_the_leaf_sequence():
     ],
 )
 def test_lookahead_keeps_frozen_leaf_sequences(t, k, n, twins, oracle_nodes):
-    # the oracle's node counts are the walk sizes from before the lookahead;
+    # the oracle's node counts are the walk sizes from before the lookaheads;
     # the walk's own are pinned in tests/test_verify.py
     mine, oracle, nodes, got_oracle_nodes = leaf_sequences(
         build(ConstructionParams(t, k, n)), t, k, twins
     )
     assert mine == oracle and mine[1]
     assert got_oracle_nodes == oracle_nodes and nodes < oracle_nodes
+
+
+@pytest.mark.parametrize(
+    "t, k, n, twins, oracle_nodes",
+    [
+        (4, 3, 13, False, 65),
+        (4, 3, 13, True, 65),
+        (5, 3, 17, False, 696),
+        (5, 3, 17, True, 696),
+        (4, 4, 18, False, 3562),
+        (4, 4, 18, True, 1862),
+        (4, 5, 28, True, 120883),
+    ],
+)
+def test_capacity_rule_keeps_frozen_leaf_sequences(t, k, n, twins, oracle_nodes):
+    # the oracle's node counts are the walk sizes from before the capacity
+    # rule; the walk's own are pinned in tests/test_verify.py
+    mine, oracle, nodes, got_oracle_nodes = leaf_sequences(
+        build(ConstructionParams(t, k, n)), t, k, twins, True
+    )
+    assert mine == oracle and mine[1]
+    assert got_oracle_nodes == oracle_nodes and nodes < oracle_nodes
+
+
+def test_capacity_rule_cuts_k6_and_keeps_its_verdict():
+    # K_6 at (4, 3): after the first block {0}, the five other vertices need
+    # three more blocks of at most two, and K_6 may meet only three blocks;
+    # blocks of two meet it three times, so K_6 has good colorings
+    g = complete_graph(6)
+    mine, oracle, nodes, oracle_nodes = leaf_sequences(g, 4, 3, False, True)
+    assert mine == oracle
+    assert nodes < oracle_nodes
+    assert mine[1] and brute_force_exists(g, 4, 3)

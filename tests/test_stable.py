@@ -1,5 +1,6 @@
-"""Maximum stable set family facts and the clique core, with the clique core
-cross-checked against brute force on every small graph."""
+"""Maximum stable set family facts and the whole-graph clique core
+(graphs.clique_core_in_mask on every vertex), the clique core cross-checked
+against brute force on every small graph."""
 
 import random
 from itertools import combinations
@@ -8,6 +9,7 @@ import pytest
 
 from cocritical.canon import nonisomorphic_graphs
 from cocritical.graphs import (
+    clique_core_in_mask,
     clique_number,
     complete_graph,
     cycle_graph,
@@ -18,7 +20,6 @@ from cocritical.graphs import (
     path_graph,
 )
 from cocritical.stable import (
-    clique_core,
     hajnal_check,
     stable_family_stats,
     stable_intersection_check,
@@ -28,6 +29,11 @@ from cocritical.stable import (
 def rand_graph(rng, n, p=0.5):
     edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
     return make_graph(n, edges)
+
+
+def clique_core(g, size):
+    """The clique core of the whole graph, None when it has no such clique."""
+    return clique_core_in_mask(g, g.vertex_mask, size)
 
 
 def star(leaves):
@@ -99,8 +105,7 @@ def test_clique_core_examples():
     assert clique_core(complete_graph(4), 4) == frozenset(range(4))
     # every vertex is a 1-clique, so nothing is common
     assert clique_core(complete_graph(3), 1) == frozenset()
-    with pytest.raises(ValueError):
-        clique_core(path_graph(3), 3)  # no triangle to intersect
+    assert clique_core(path_graph(3), 3) is None  # no triangle to intersect
     with pytest.raises(ValueError):
         clique_core(path_graph(3), 0)
 

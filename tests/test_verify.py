@@ -52,9 +52,9 @@ def test_is_cocritical_on_frozen_instance():
     assert report.complete
     assert report.failures == ()
     assert report.non_edge_count == 34
-    assert report.nodes == 65
+    assert report.nodes == 60
     doc = report.to_json()
-    assert doc["verdict"] == CO_CRITICAL and doc["nodes"] == 65
+    assert doc["verdict"] == CO_CRITICAL and doc["nodes"] == 60
 
 
 def _per_nonedge_oracle(g, t, k):
@@ -144,7 +144,7 @@ def test_coloring_only_on_full_cocritical_reports():
         is_cocritical(complete_graph(4), 3, 3),
         is_cocritical(complete_graph(5), 3, 3),
         is_cocritical(g, 4, 3, SearchBudget(node_cap=10)),
-        is_cocritical(build(ConstructionParams(4, 4, 18)), 4, 4, SearchBudget(node_cap=1000)),
+        is_cocritical(build(ConstructionParams(4, 4, 18)), 4, 4, SearchBudget(node_cap=500)),
     )
     for report in others:
         assert not report.is_cocritical and report.coloring is None
@@ -238,10 +238,10 @@ def test_twin_image_maps_witnesses_within_a_type():
 
 @pytest.mark.parametrize(
     "t, k, n, pruned, full",
-    [(4, 3, 13, 65, 65), (5, 3, 17, 696, 696), (4, 4, 18, 1862, 3562)],
+    [(4, 3, 13, 60, 60), (5, 3, 17, 529, 529), (4, 4, 18, 931, 1659)],
 )
 def test_twin_rule_walk_sizes(t, k, n, pruned, full):
-    # both walks have the lookahead (the walk without it is pinned in
+    # both walks have the lookaheads (the walks without them are pinned in
     # tests/test_search.py); the twin pairs of (4,3,13) and (5,3,17) never
     # trigger the twin rule
     g = build(ConstructionParams(t, k, n))
@@ -253,7 +253,7 @@ def test_twin_rule_walk_sizes(t, k, n, pruned, full):
 
 def test_twin_rule_only_in_cocriticality_walk(monkeypatch):
     # the standalone searches walk without the twin rule (with the
-    # lookahead, which keeps every leaf), so they stay independent oracles
+    # lookaheads, which keep every leaf), so they stay independent oracles
     # of it
     seen = []
 
@@ -313,14 +313,14 @@ def test_budget_indeterminate():
 
 
 def test_budget_runs_out_mid_walk():
-    # the first leaf (the base witness) comes at 223 nodes, 181 with the
-    # twin rule, and the pruned walk takes 1,862 (test_twin_rule_walk_sizes);
+    # the first leaf (the base witness) comes at 108 nodes, 66 with the
+    # twin rule, and the pruned walk takes 931 (test_twin_rule_walk_sizes);
     # the cap stops the one walk in between with every non-edge still open
     g = build(ConstructionParams(4, 4, 18))
-    assert exists_critical_coloring(g, 4, 4).nodes == 223
+    assert exists_critical_coloring(g, 4, 4).nodes == 108
     first = _walk_partitions(g, 4, 4, SearchBudget(), lambda blocks: True, lower_twins=lower_twins(g))
-    assert first[:2] == (FOUND, 181)
-    report = is_cocritical(g, 4, 4, SearchBudget(node_cap=1000))
+    assert first[:2] == (FOUND, 66)
+    report = is_cocritical(g, 4, 4, SearchBudget(node_cap=500))
     assert report.base_status == FOUND and report.base_witness is not None
     assert report.failures == tuple((e, BUDGET) for e in g.non_edges())
     assert len(report.failures) == 66
@@ -330,7 +330,7 @@ def test_budget_runs_out_mid_walk():
 def test_deadline_passes_inside_the_leaf_step(monkeypatch):
     # the clock stands still until the first leaf step starts and reads past
     # every deadline from then on, so only the leaf step's own clock check
-    # can stop the search: the (4,3,13) walk takes 65 nodes, and the walk
+    # can stop the search: the (4,3,13) walk takes 60 nodes, and the walk
     # reads the clock at node 1 and then at node 1,025
     now = [0.0]
     real = search._good_refinements
