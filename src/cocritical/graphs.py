@@ -261,27 +261,6 @@ def has_clique(g: Graph, size: int) -> bool:
     return _clique_rec(g.adj, g.vertex_mask, size)
 
 
-def clique_number(g: Graph) -> int:
-    """Order of a largest clique."""
-    best = 0
-    adj = g.adj
-
-    def grow(count: int, cand: int) -> None:
-        nonlocal best
-        if count > best:
-            best = count
-        while cand:
-            if count + cand.bit_count() <= best:
-                return
-            low = cand & -cand
-            v = low.bit_length() - 1
-            cand ^= low
-            grow(count + 1, adj[v] & cand)
-
-    grow(0, g.vertex_mask)
-    return best
-
-
 def enumerate_cliques(g: Graph, size: int) -> list[frozenset[int]]:
     """Every clique on exactly `size` vertices, in lexicographic vertex order."""
     return enumerate_cliques_in_mask(g, g.vertex_mask, size)
@@ -373,16 +352,47 @@ STABLE_SET_ORDER_CAP = 24
 
 
 def max_stable_sets(g: Graph) -> tuple[int, list[frozenset[int]]]:
-    """Independence number and the full family of maximum stable sets.
+    """Independence number and the full family of maximum stable sets, in
+    lexicographic vertex order.
 
-    Works through the complement: stable sets of g are cliques of its
-    complement, so the family is every maximum clique over there.  Exhaustive;
-    guarded to small orders.
+    One branch-and-bound over the complement's rows: a call holds a stable
+    set and the candidates above its largest vertex that extend it, branches
+    on the lowest candidate first, and is cut when the set with every
+    candidate stays below the best size so far.  A leaf (no candidates) of
+    that size joins the family, which starts over whenever the best size
+    grows.  A maximum stable set S is never cut, since along its path the
+    candidates hold the rest of S, and it reaches a leaf, since a candidate
+    left over would extend it; the leaves come in lexicographic order.
+    Exhaustive; guarded to small orders.
     """
     if g.n > STABLE_SET_ORDER_CAP:
         raise ValueError(f"stable-set enumeration guarded to n <= {STABLE_SET_ORDER_CAP}")
     if g.n == 0:
         raise ValueError("graph has no vertices")
-    co = complement(g)
-    alpha = clique_number(co)
-    return alpha, enumerate_cliques(co, alpha)
+    full = g.vertex_mask
+    co = [full & ~row & ~(1 << v) for v, row in enumerate(g.adj)]
+    best = 0
+    family: list[frozenset[int]] = []
+    chosen: list[int] = []
+
+    def extend(cand: int) -> None:
+        nonlocal best
+        if not cand:
+            if len(chosen) > best:
+                best = len(chosen)
+                family.clear()
+            if len(chosen) == best:
+                family.append(frozenset(chosen))
+            return
+        while cand:
+            if len(chosen) + cand.bit_count() < best:
+                return
+            low = cand & -cand
+            cand ^= low
+            v = low.bit_length() - 1
+            chosen.append(v)
+            extend(co[v] & cand)
+            chosen.pop()
+
+    extend(full)
+    return best, family

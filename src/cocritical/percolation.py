@@ -26,8 +26,17 @@ them as exact integers in units of 1/(2q): omega(v) is 2q*d_closure(v) +
 q*d_exterior(v); f(x) is 2q on seeds, q on the rest of the closure and
 d_seeds(x) outside; phi(v) is the sum of f over N(v); a vertex is bad when its
 weight is below 2q^2; and the progress floor is 1.  Fractions appear only in
-messages.  Every inequality the final certificate relies on is re-established
-by explicit counting, and any violation raises with the full iteration trail
+messages.
+
+f takes few values (2q, q and 1..|seeds|), so phi is summed per influence
+class: the vertices sharing one value c form a mask, and phi(v) is the sum
+over c of c * |N(v) & mask_c|.  The masks partition the vertices of nonzero
+influence, so each neighbor is counted once, at its own f, and the class sum
+is the per-neighbor sum exactly: one popcount per class replaces one step per
+neighbor.
+
+Every inequality the final certificate relies on is re-established by
+explicit counting, and any violation raises with the full iteration trail
 attached.
 """
 
@@ -84,7 +93,9 @@ def _measure(g: Graph, q: int, seed_mask: int):
 
     Returns (closure mask, activation edges, exterior mask, weight of each
     exterior vertex as a dict, influence list, score list, bad mask).  Raises
-    if a score exceeds its weight."""
+    if a score exceeds its weight.  Each score is summed per influence class,
+    which equals the sum over the neighbors because the classes split the
+    neighborhood by the value of f (see the module docstring)."""
     adj = g.adj
     closure_mask, activation_edges = _close(adj, g.n, seed_mask, q)
     ext_mask = g.vertex_mask & ~closure_mask
@@ -98,7 +109,13 @@ def _measure(g: Graph, q: int, seed_mask: int):
         else (row & seed_mask).bit_count()
         for x, row in enumerate(adj)
     ]
-    score = [sum(influence[x] for x in iter_bits(row)) for row in adj]
+    # one mask per nonzero influence value; an exterior d_seeds(x) may equal
+    # q or 2q, so the masks are merged by value
+    classes: dict[int, int] = {}
+    for x, f in enumerate(influence):
+        if f:
+            classes[f] = classes.get(f, 0) | 1 << x
+    score = [sum(f * (row & mask).bit_count() for f, mask in classes.items()) for row in adj]
     bad = 0
     for v, w in weight.items():
         # the potential never exceeds the weight it chases
@@ -184,7 +201,9 @@ class PercolationCertificate:
 
 
 def default_seed(g: Graph) -> int:
-    return min(range(g.n), key=lambda v: (g.degree(v), v))
+    """The lowest vertex of minimum degree."""
+    adj = g.adj
+    return min(range(g.n), key=lambda v: (adj[v].bit_count(), v))
 
 
 def check_threshold(q: int) -> None:

@@ -38,7 +38,7 @@ enumerate_critical_colorings takes every item.
 Budgets cap tree nodes and wall time; outcomes say whether the space was
 exhausted or the budget ran out, and an `arrows` query that dies on budget
 raises instead of guessing.  The walk reads the clock at its first node and
-every 1,024 nodes after it, the leaf step at each of its own nodes.  The
+every 64 nodes after it, the leaf step at each of its own nodes.  The
 brute-force routines scan all 2^e colorings directly and exist to
 cross-check the partition search on small inputs; they share no code with
 it on purpose.
@@ -262,7 +262,7 @@ def _walk_partitions(g: Graph, t: int, k: int, budget: SearchBudget, on_partitio
         nodes += 1
         if nodes > node_cap:
             raise _BudgetHit
-        if nodes & 1023 == 1 and time.perf_counter() > deadline:
+        if nodes & 63 == 1 and time.perf_counter() > deadline:
             raise _BudgetHit
         rest = unassigned & ~block
         twins = block & has_lower

@@ -100,8 +100,8 @@ def test_verify_budget_exit(capsys):
 
 
 def test_verify_time_cap_exit(capsys):
-    # the (4,5,28) walk takes 22,606 nodes, so the clock read at node 1,025
-    # comes well after 1 ms
+    # the (4,5,28) walk takes 22,606 nodes, far more than 1 ms allows, and
+    # the clock is read every 64 of them
     code, doc = run_json(
         capsys,
         "verify", "--construct", "4,5,28", "--t", "4", "--k", "5",
@@ -111,8 +111,8 @@ def test_verify_time_cap_exit(capsys):
 
 
 def test_time_cap_binds_a_short_walk(capsys):
-    # the (5,3,17) walk takes 529 nodes, fewer than the 1,024 between clock
-    # reads; the clock is read at node 1 too
+    # the clock is read at node 1, so a cap that has passed by then stops
+    # even the 529-node (5,3,17) walk
     code, doc = run_json(
         capsys,
         "verify", "--construct", "5,3,17", "--t", "5", "--k", "3",

@@ -13,7 +13,6 @@ from cocritical.graphs import (
     add_edge,
     bitmask,
     clique_core_in_mask,
-    clique_number,
     complement,
     complete_graph,
     components,
@@ -41,6 +40,24 @@ def relabel(g, perm):
     """Oracle helper: vertex v of g becomes perm[v] of the result."""
     assert sorted(perm) == list(range(g.n))
     return make_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def clique_number(g):
+    """Oracle helper: order of a largest clique, by branch and bound."""
+    best = 0
+
+    def grow(count, cand):
+        nonlocal best
+        best = max(best, count)
+        while cand:
+            if count + cand.bit_count() <= best:
+                return
+            low = cand & -cand
+            cand ^= low
+            grow(count + 1, g.adj[low.bit_length() - 1] & cand)
+
+    grow(0, g.vertex_mask)
+    return best
 
 
 def is_connected_mask(g, mask):
@@ -240,6 +257,20 @@ def test_max_stable_sets_against_brute_force():
         b_alpha, b_family = brute_max_stable(g)
         assert alpha == b_alpha
         assert sorted(family) == sorted(b_family)
+
+
+def test_max_stable_sets_against_the_complement_on_corpus_sized_graphs():
+    # G(n, m) graphs shaped like the props corpus: the family must equal the
+    # maximum cliques of the complement, in the same (lexicographic) order
+    rng = random.Random(2024)
+    for _ in range(300):
+        n = rng.randint(12, 24)
+        m = rng.randint(21, n * (n - 1) // 4)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        g = make_graph(n, rng.sample(pairs, m))
+        co = complement(g)
+        alpha = clique_number(co)
+        assert max_stable_sets(g) == (alpha, enumerate_cliques(co, alpha)), g.adj
 
 
 def brute_twin_classes(g):

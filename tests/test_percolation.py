@@ -124,6 +124,38 @@ def frozen_instance(t, k, n):
     return cross_graph(g, blocks), blocks
 
 
+def neighbour_sum_scores(g, q, seed_mask, closure_mask):
+    """phi per vertex, in units of 1/(2q), as one influence per neighbour."""
+    influence = [
+        2 * q if seed_mask >> x & 1
+        else q if closure_mask >> x & 1
+        else (g.adj[x] & seed_mask).bit_count()
+        for x in range(g.n)
+    ]
+    return [sum(influence[x] for x in iter_bits(row)) for row in g.adj]
+
+
+def test_class_scores_match_the_neighbour_sum_on_the_percolation_grid():
+    # the percolate benchmark's grid: every cross graph of t in {4, 5},
+    # k in 3..8 and n in {min order, 64, 96, 128}, every q from 1 to its
+    # minimum degree, at the seed set of every round of the run
+    pairs = rounds = 0
+    for t in (4, 5):
+        for k in range(3, 9):
+            low = min_order(t, k)
+            for n in (low, *(n for n in (64, 96, 128) if n > low)):
+                H, blocks = frozen_instance(t, k, n)
+                for q in range(1, H.min_degree() + 1):
+                    pairs += 1
+                    for entry in run(H, blocks, q).trail:
+                        seed_mask = bitmask(entry["seeds"])
+                        closure_mask, *_, score, _ = _measure(H, q, seed_mask)
+                        want = neighbour_sum_scores(H, q, seed_mask, closure_mask)
+                        assert score == want, (t, k, n, q, entry["iteration"])
+                        rounds += 1
+    assert pairs == 234 and rounds > pairs
+
+
 # (t, k) -> |S|, the final seed count at the paper's threshold q = 2t - 4
 PAPER_THRESHOLD_SEEDS = {
     (4, 3): 7, (4, 4): 4, (4, 5): 4, (4, 6): 5, (4, 7): 5,

@@ -433,6 +433,24 @@ def test_walk_stops_at_the_leaf_that_asks():
     assert stopped > 100
 
 
+def test_time_cap_stops_a_short_walk_within_64_nodes(monkeypatch):
+    # the clock stands still for the walk's start and its first `reads` clock
+    # reads and is past the deadline from then on; the walk reads it at node
+    # 1 and every 64 nodes after, so even a walk of fewer than 1,024 nodes
+    # stops at the next read, 64 nodes after the deadline passed
+    g = build(ConstructionParams(4, 4, 18))
+    lower = lower_twins(g)
+    status, total, _ = _walk_partitions(g, 4, 4, SearchBudget(), lambda blocks: False, lower)
+    assert status == EXHAUSTED and total == 931
+    for reads in range(total // 64 + 1):
+        clock = iter([0.0] * (1 + reads))
+        monkeypatch.setattr(search.time, "perf_counter", lambda: next(clock, 1.0))
+        status, nodes, _ = _walk_partitions(
+            g, 4, 4, SearchBudget(time_cap=0.5), lambda blocks: False, lower
+        )
+        assert (status, nodes) == (BUDGET_EXCEEDED, 64 * reads + 1)
+
+
 def lower_twins(g):
     """Per vertex, the mask of its twins with smaller ids."""
     return [m & ((1 << v) - 1) for v, m in enumerate(twin_masks(g))]
@@ -476,26 +494,50 @@ def ruleless_walk(g, t, k, on_partition, lower_twins=None, forced_merge=False):
         nonlocal nodes
         nodes += 1
         rest = unassigned & ~block
-        for w in iter_bits(block & has_lower):
-            if lower_twins[w] & rest:
+        # low-bit while loops, as in the walk: iter_bits generators would
+        # cost more than the walk under test
+        twins = block & has_lower
+        while twins:
+            w_bit = twins & -twins
+            twins ^= w_bit
+            if lower_twins[w_bit.bit_length() - 1] & rest:
                 return
         cross = cross[:]
-        for u in iter_bits(block):
-            for w in iter_bits(adj[u] & rest):
-                cross[u] |= 1 << w
-                cross[w] |= 1 << u
+        us = block
+        while us:
+            u_bit = us & -us
+            us ^= u_bit
+            u = u_bit.bit_length() - 1
+            ws = adj[u] & rest
+            while ws:
+                w_bit = ws & -ws
+                ws ^= w_bit
+                w = w_bit.bit_length() - 1
+                cross[u] |= w_bit
+                cross[w] |= u_bit
                 if _clique_rec(cross, cross[u] & cross[w], need):
                     return
         if forced_merge and rest.bit_count() > limit:
             group = {}
-            for w in iter_bits(rest):
-                for x in iter_bits(adj[w] & rest & -(2 << w)):
+            ws = rest
+            while ws:
+                w_bit = ws & -ws
+                ws ^= w_bit
+                w = w_bit.bit_length() - 1
+                xs = adj[w] & ws  # the neighbours of w in the rest above w
+                while xs:
+                    x_bit = xs & -xs
+                    xs ^= x_bit
+                    x = x_bit.bit_length() - 1
                     if _clique_rec(cross, cross[w] & cross[x], need):
-                        merged = group.get(w, 1 << w) | group.get(x, 1 << x)
+                        merged = group.get(w, w_bit) | group.get(x, x_bit)
                         if merged.bit_count() > limit:
                             return
-                        for y in iter_bits(merged):
-                            group[y] = merged
+                        ys = merged
+                        while ys:
+                            y_bit = ys & -ys
+                            ys ^= y_bit
+                            group[y_bit.bit_length() - 1] = merged
         blocks.append(block)
         place(rest, cross)
         blocks.pop()

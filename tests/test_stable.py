@@ -6,11 +6,11 @@ import random
 from itertools import combinations
 
 import pytest
+from test_graphs import clique_number
 
 from cocritical.canon import nonisomorphic_graphs
 from cocritical.graphs import (
     clique_core_in_mask,
-    clique_number,
     complete_graph,
     cycle_graph,
     disjoint_union,

@@ -331,7 +331,7 @@ def test_deadline_passes_inside_the_leaf_step(monkeypatch):
     # the clock stands still until the first leaf step starts and reads past
     # every deadline from then on, so only the leaf step's own clock check
     # can stop the search: the (4,3,13) walk takes 60 nodes, and the walk
-    # reads the clock at node 1 and then at node 1,025
+    # reads the clock at node 1 and then at node 65
     now = [0.0]
     real = search._good_refinements
 
