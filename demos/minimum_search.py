@@ -18,12 +18,13 @@ for n in range(4, 8):
     result = min_cocritical_search(T, K, n)
     if result.minimum_edges is None:
         print(f"n={n}: no co-critical graph "
-              f"({result.examined} classes examined, complete={result.complete})")
+              f"({result.examined} classes examined, {result.refuted} refuted "
+              f"without a walk, complete={result.complete})")
         continue
     names = [emit_graph6(w) for w in result.witnesses]
     print(f"n={n}: minimum {result.minimum_edges} edges, "
           f"{len(result.witnesses)} witnesses {names}, "
-          f"{result.examined} classes examined")
+          f"{result.examined} classes examined, {result.refuted} refuted without a walk")
 
     # independent teardown of each witness
     for w in result.witnesses:

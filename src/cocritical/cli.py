@@ -294,10 +294,13 @@ def cmd_minsearch(args) -> int:
     return EXIT_OK if result.minimum_edges is not None else EXIT_FALSE
 
 
-def _props_one(g: Graph, budget: SearchBudget) -> tuple[dict, bool, bool]:
-    """Property suite for one corpus graph: stable-set checks plus oracle
-    agreement on the standard (t,k) pairs.  Returns (row, ok, indeterminate)."""
-    row: dict = {"graph6": emit_graph6(g)}
+def _props_one(g: Graph, line: str, budget: SearchBudget) -> tuple[dict, bool, bool]:
+    """Property suite for one corpus graph, read from `line`: stable-set
+    checks plus oracle agreement on the standard (t,k) pairs.  Returns (row,
+    ok, indeterminate)."""
+    # a parsed line is the graph's own graph6 text, except that a long-form
+    # order prefix below 63 is re-encoded in the short form
+    row: dict = {"graph6": emit_graph6(g) if line[0] == "~" and g.n <= 62 else line}
     ok = True
     indeterminate = False
     hr = hajnal_check(g)
@@ -332,17 +335,17 @@ def cmd_props(args) -> int:
     with open(args.corpus, encoding="latin-1") as fh:
         text = fh.read()
     graphs = parse_graph6_lines(text)
-    # parse_graph6_lines skips blank lines; keep each graph's line number
-    numbers = [number for number, line in enumerate(text.splitlines(), 1) if line.strip()]
+    # parse_graph6_lines skips blank lines; pair each graph with its line and number
+    lines = ((number, line) for number, line in enumerate(text.splitlines(), 1) if line.strip())
     parse_ms = (time.perf_counter() - t0) * 1000
     budget = SearchBudget(args.node_cap, args.time_cap)
     t0 = time.perf_counter()
     rows = []
     failures = 0
     indeterminate = 0
-    for number, g in zip(numbers, graphs):
+    for (number, line), g in zip(lines, graphs):
         try:
-            row, ok, indet = _props_one(g, budget)
+            row, ok, indet = _props_one(g, line, budget)
         except ValueError as exc:
             raise ValueError(f"line {number}: {exc}") from None
         rows.append(row)

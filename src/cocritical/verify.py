@@ -161,8 +161,9 @@ def is_cocritical(
     twin permutation that sends the settled non-edge to it (_twin_image),
     built only for the non-edges the report lists and re-checked on g+uv.
 
-    The walk therefore tests every open non-edge at every leaf and stops once
-    no type is open, or at the first leaf that settles one under fail_fast.
+    The walk therefore tests every open non-edge at every leaf, skipping one
+    whose type an earlier non-edge of the leaf settled, and stops once no
+    type is open, or under fail_fast at the first non-edge a leaf settles.
     A non-edge still open when the walk is exhausted is arrowed; one still
     open when the budget runs out is reported as BUDGET.  The budget bounds
     this one walk, the max-red leaf step included, and the report carries
@@ -216,6 +217,9 @@ def is_cocritical(
         cross = [adj[v] & ~block_of[v] for v in range(n)]
         still_open = []
         for u, v in open_edges:
+            kind = twin_of[u] | twin_of[v]
+            if kind in settled:
+                continue  # an earlier non-edge of this leaf settled the type
             bu, bv = block_of[u], block_of[v]
             if (bu | bv).bit_count() <= limit:  # (1) is the case bu == bv
                 merged = [m for m in leaf if m not in (bu, bv)] + [bu | bv]
@@ -225,10 +229,10 @@ def is_cocritical(
             else:
                 still_open.append((u, v))
                 continue
-            settled.setdefault(twin_of[u] | twin_of[v], ((u, v), witness))
-        if len(still_open) < len(open_edges):  # this leaf settled a type
+            settled[kind] = ((u, v), witness)
             if fail_fast:
                 return True
+        if len(still_open) < len(open_edges):  # this leaf settled a type
             still_open = [(u, v) for u, v in still_open if twin_of[u] | twin_of[v] not in settled]
         open_edges[:] = still_open
         if not (fail_fast or settled):
@@ -519,6 +523,7 @@ class MinSearchResult:
     witnesses: tuple[Graph, ...]
     examined: int
     indeterminate: tuple[tuple[Graph, int], ...]
+    refuted: int  # examined classes decided by _refuting_non_edge, no walk
 
     @property
     def complete(self) -> bool:
@@ -536,10 +541,25 @@ class MinSearchResult:
             "indeterminate": [
                 {"graph6": emit_graph6(g), "edges": e} for g, e in self.indeterminate
             ],
+            "refuted": self.refuted,
         }
 
 
 MIN_SEARCH_ORDER_CAP = GENERATION_ORDER_CAP
+
+
+def _refuting_non_edge(g: Graph, t: int) -> Edge | None:
+    """The first non-edge uv, in g.non_edges() order, whose common
+    neighbourhood N(u) & N(v) holds no K_{t-2}; None if there is none.
+
+    Such a non-edge shows that g is not co-critical; min_cocritical_search
+    gives the argument.
+    """
+    adj, need = g.adj, t - 2
+    for u, v in g.non_edges():
+        if not _clique_rec(adj, adj[u] & adj[v], need):
+            return u, v
+    return None
 
 
 def min_cocritical_search(
@@ -552,6 +572,22 @@ def min_cocritical_search(
     caps apply to each individual search; graphs left indeterminate by them
     are reported and make the result incomplete.  Parameters are checked
     before any class is generated.
+
+    A class with a refuting non-edge (_refuting_non_edge) is decided without
+    a walk: it is not co-critical, and it counts in examined and in refuted.
+    Soundness, for a non-edge uv whose common neighbourhood holds no K_{t-2}:
+
+    - if g has no good coloring, then g arrows (K_t, T_k), so g is not
+      co-critical;
+    - otherwise take any good coloring of g and color uv red.  A red K_t
+      through uv would need t-2 common red neighbours of u and v forming a
+      clique, that is a K_{t-2} inside N(u) & N(v), and there is none; the
+      blue graph is unchanged.  So g+uv keeps a good coloring and g is not
+      co-critical either.
+
+    This is condition (3) of is_cocritical with G's rows for the cross rows:
+    cross rows are subsets of G's rows, so such a uv is settled at every good
+    partition.  For t = 2 the lemma never fires, since every set holds a K_0.
     """
     check_parameters(t, k)
     if not 1 <= n <= MIN_SEARCH_ORDER_CAP:
@@ -560,14 +596,17 @@ def min_cocritical_search(
     minimum: int | None = None
     witnesses: list[Graph] = []
     indeterminate: list[tuple[Graph, int]] = []
-    examined = 0
+    examined = refuted = 0
     for g in iter_classes(n):
         e = g.edge_count()
         if minimum is not None and e > minimum:
             break
-        if not g.non_edges():
+        if e == n * (n - 1) // 2:
             continue  # complete graph can never be co-critical
         examined += 1
+        if _refuting_non_edge(g, t) is not None:
+            refuted += 1
+            continue
         report = is_cocritical(g, t, k, budget, fail_fast=True)
         verdict = report.verdict()
         if verdict == CO_CRITICAL:
@@ -576,5 +615,5 @@ def min_cocritical_search(
         elif verdict == INDETERMINATE:
             indeterminate.append((g, e))
     return MinSearchResult(
-        t, k, n, minimum, tuple(witnesses), examined, tuple(indeterminate)
+        t, k, n, minimum, tuple(witnesses), examined, tuple(indeterminate), refuted
     )

@@ -5,6 +5,7 @@ import subprocess
 import sys
 
 import pytest
+from test_verify import refuting_by_combinations
 
 from cocritical import cli, stable, verify
 from cocritical.canon import nonisomorphic_graphs
@@ -216,10 +217,17 @@ def test_minsearch_budget_exit_lists_every_class(capsys):
     assert code == 3
     res = doc["results"]
     assert res["complete"] is False and res["minimum_edges"] is None
-    # every class on 5 vertices but K_5 is examined, and none is settled
-    expected = {emit_graph6(g) for g in nonisomorphic_graphs(5) if g.non_edges()}
-    assert res["examined"] == len(expected) == 33
-    assert {row["graph6"] for row in res["indeterminate"]} == expected
+    # every class on 5 vertices but K_5 is examined; a class with a non-edge
+    # whose common neighbourhood holds no K_1 is refuted without a walk, and
+    # every other class runs out of budget
+    classes = [g for g in nonisomorphic_graphs(5) if g.non_edges()]
+    refuted = [g for g in classes if refuting_by_combinations(g, 3) is not None]
+    walked = [g for g in classes if g not in refuted]
+    assert res["examined"] == len(classes) == 33
+    assert res["refuted"] == len(refuted) == 19
+    assert {row["graph6"] for row in res["indeterminate"]} == {emit_graph6(g) for g in walked}
+    assert len(walked) == 14
+    assert all(verify.is_cocritical(g, 3, 3).verdict() == verify.NOT_CO_CRITICAL for g in refuted)
 
 
 def test_props_budget_exit(capsys, tmp_path):
@@ -276,6 +284,22 @@ def test_props(capsys, tmp_path):
     res = doc["results"]
     assert res["graphs"] == 3 and res["failures"] == 0
     assert all("hajnal" in row for row in res["rows"])
+
+
+def test_props_rows_carry_the_emitted_graph6(capsys, tmp_path):
+    # rows pass each line through, re-encoding only a long-form order prefix
+    # on a small order, so they equal emit_graph6 of the parsed graph
+    short = [emit_graph6(g) for n in range(1, 6) for g in nonisomorphic_graphs(n)]
+    long_form = ["~??DN{", "~??Bw", "~??@"]
+    lines = short[:20] + long_form[:1] + short[20:] + long_form[1:]
+    corpus = tmp_path / "corpus.g6"
+    corpus.write_text("\n".join(lines[:20] + [""] + lines[20:]) + "\r\n")
+    code, doc = run_json(capsys, "props", "--corpus", str(corpus))
+    assert code == 0
+    assert [row["graph6"] for row in doc["results"]["rows"]] == [
+        emit_graph6(parse_graph6(line)) for line in lines
+    ]
+    assert [emit_graph6(parse_graph6(line)) for line in long_form] == ["DN{", "Bw", "@"]
 
 
 def test_props_enumerates_each_stable_family_once(capsys, tmp_path, monkeypatch):

@@ -2,6 +2,8 @@
 exhaustive minimum search."""
 
 import math
+from functools import lru_cache
+from itertools import combinations
 
 import pytest
 from test_search import FROZEN_MAX_RED_BLUE, lower_twins
@@ -27,6 +29,7 @@ from cocritical.search import (
     SearchBudget,
     _assert_witness,
     _walk_partitions,
+    brute_force_exists,
     enumerate_critical_colorings,
     exists_critical_coloring,
     max_red_critical_coloring,
@@ -38,6 +41,7 @@ from cocritical.verify import (
     NOT_CO_CRITICAL,
     STILL_COLORABLE,
     check_critical_structure,
+    _refuting_non_edge,
     _twin_image,
     is_cocritical,
     min_cocritical_search,
@@ -369,6 +373,43 @@ def test_fail_fast_reports_first_settled_nonedge():
     assert fast.base_witness == full.base_witness
 
 
+def settles(g, t, k, leaf, edge):
+    """Does the good partition `leaf` of g extend to g+edge (conditions 1-3
+    of is_cocritical), with the clique test done on subsets?"""
+    block = {x: m for m in leaf for x in range(g.n) if m >> x & 1}
+    u, v = edge
+    if (block[u] | block[v]).bit_count() <= k - 1:
+        return True
+
+    def cross(x, y):
+        return g.has_edge(x, y) and block[x] != block[y]
+
+    common = [w for w in range(g.n) if cross(u, w) and cross(v, w)]
+    return not any(
+        all(cross(a, b) for a, b in combinations(c, 2)) for c in combinations(common, t - 2)
+    )
+
+
+def test_fail_fast_reports_the_first_settling_leafs_first_non_edge():
+    # the leaf step stops at the first non-edge it settles; that is the first
+    # one, in non-edge order, of the first leaf of the walk that settles any
+    for n in range(2, 7):
+        for g in nonisomorphic_graphs(n):
+            non_edges = g.non_edges()
+            if not non_edges:
+                continue
+            for t, k in ((3, 3), (3, 4), (4, 3), (3, 5)):
+                expected = ()
+                for leaf in _leaves(g, t, k, lower_twins(g)):
+                    hits = [e for e in non_edges if settles(g, t, k, leaf, e)]
+                    if hits:
+                        expected = ((hits[0], STILL_COLORABLE),)
+                        break
+                fast = is_cocritical(g, t, k, fail_fast=True)
+                assert fast.failures == expected, (emit_graph6(g), t, k)
+                assert fast.complete == (not expected or len(non_edges) == 1)
+
+
 def test_minimum_witness_is_cocritical():
     g = parse_graph6("DN{")
     assert is_cocritical(g, 3, 3).verdict() == CO_CRITICAL
@@ -515,3 +556,99 @@ def test_min_search_checks_parameters_before_generating(monkeypatch):
     for (t, k, n), name in (((1, 3, 7), "t"), ((3, 1, 7), "k"), ((3, 3, 0), "n"), ((3, 3, 9), "n")):
         with pytest.raises(ValueError, match=f"^{name} must"):
             min_cocritical_search(t, k, n)
+
+
+# --- the refuting non-edge lemma of min_cocritical_search -------------------
+
+
+@lru_cache(maxsize=None)
+def _classes(n):
+    return tuple(nonisomorphic_graphs(n))
+
+
+def refuting_by_combinations(g, t):
+    """The first non-edge whose common neighbourhood holds no t-2 pairwise
+    adjacent vertices, found by trying every (t-2)-subset of it."""
+    for u, v in g.non_edges():
+        common = [w for w in range(g.n) if g.has_edge(u, w) and g.has_edge(v, w)]
+        if not any(
+            all(g.has_edge(a, b) for a, b in combinations(c, 2))
+            for c in combinations(common, t - 2)
+        ):
+            return u, v
+    return None
+
+
+def test_refuting_non_edge_matches_the_combinations_oracle():
+    fired = 0
+    for n in range(1, 8):
+        for g in _classes(n):
+            for t in (2, 3, 4, 5):
+                edge = _refuting_non_edge(g, t)
+                assert edge == refuting_by_combinations(g, t), (emit_graph6(g), t)
+                assert t > 2 or edge is None
+                fired += edge is not None
+    assert fired == 3170
+
+
+def test_refuted_classes_are_not_cocritical():
+    # every class on up to 7 vertices that the lemma refutes gets a full walk
+    refuted = 0
+    for n in range(2, 8):
+        for g in _classes(n):
+            for t, k in ((3, 3), (3, 4), (4, 3), (3, 5)):
+                if _refuting_non_edge(g, t) is not None:
+                    refuted += 1
+                    assert is_cocritical(g, t, k).verdict() == NOT_CO_CRITICAL, (emit_graph6(g), t, k)
+    assert refuted == 3534
+
+
+def test_refuted_classes_are_not_cocritical_by_brute_force():
+    # the lemma's own argument, on 2^e colorings: if g has a good coloring,
+    # so does g+uv for the refuting uv; hence g is never co-critical
+    refuted = 0
+    for n in range(2, 7):
+        for g in _classes(n):
+            for t, k in ((3, 3), (3, 4), (4, 3), (3, 5)):
+                edge = _refuting_non_edge(g, t)
+                if edge is None:
+                    continue
+                refuted += 1
+                base = brute_force_exists(g, t, k)
+                assert not base or brute_force_exists(add_edge(g, *edge), t, k), (emit_graph6(g), t, k)
+                cocritical = base and not any(
+                    brute_force_exists(add_edge(g, *e), t, k) for e in g.non_edges()
+                )
+                assert not cocritical, (emit_graph6(g), t, k)
+    assert refuted == 553
+
+
+def scan_without_lemma(t, k, n):
+    """min_cocritical_search's scan with a fail-fast walk on every class."""
+    minimum, witnesses, examined, indeterminate = None, [], 0, []
+    for g in _classes(n):
+        e = g.edge_count()
+        if minimum is not None and e > minimum:
+            break
+        if not g.non_edges():
+            continue
+        examined += 1
+        verdict = is_cocritical(g, t, k, fail_fast=True).verdict()
+        if verdict == CO_CRITICAL:
+            minimum = e
+            witnesses.append(emit_graph6(g))
+        elif verdict == INDETERMINATE:
+            indeterminate.append(g)
+    return minimum, witnesses, examined, not indeterminate
+
+
+@pytest.mark.parametrize(
+    "t, k, n", [(3, 3, 4), (3, 3, 5), (3, 3, 6), (3, 3, 7), (3, 4, 7), (4, 3, 7), (3, 5, 7)]
+)
+def test_min_search_matches_the_scan_without_lemma(t, k, n, monkeypatch):
+    monkeypatch.setattr(verify, "iter_classes", lambda order: iter(_classes(order)))
+    r = min_cocritical_search(t, k, n)
+    got = (r.minimum_edges, [emit_graph6(w) for w in r.witnesses], r.examined, r.complete)
+    assert got == scan_without_lemma(t, k, n)
+    assert 0 < r.refuted < r.examined
+    assert r.to_json()["refuted"] == r.refuted
