@@ -39,7 +39,7 @@ if rep.failures:
 ##################################
 # Phase two: forced structure
 ##################################
-struct = saturation_structure_checks(g, args.t, args.k, cocritical_report=rep)
+struct = saturation_structure_checks(rep)
 print(f"max-red coloring: {len(struct.coloring.red)} red edges, "
       f"{len(struct.coloring.blue)} blue edges")
 for name, item in struct.items.items():

@@ -179,9 +179,9 @@ def cmd_verify(args) -> int:
     checks_ms = 0.0
     if args.checks and report.verdict() == CO_CRITICAL:
         t0 = time.perf_counter()
-        structure = saturation_structure_checks(g, args.t, args.k, cocritical_report=report)
+        structure = saturation_structure_checks(report)
         results["coloring_structure_violations"] = check_critical_structure(
-            g, report.coloring, args.t, args.k
+            report.coloring, args.t, args.k
         )
         results["structure"] = structure.to_json()
         checks_ms = (time.perf_counter() - t0) * 1000

@@ -30,20 +30,23 @@ def normalize_edge(u: int, v: int) -> Edge:
 
 @dataclass(frozen=True)
 class EdgeColoring:
-    """Partition of a graph's edges into red and blue."""
+    """Partition of a graph's edges into red and blue, stored as its blue side.
+
+    blue holds normalized pairs (u < v), each an edge of base; every other
+    edge of base is red.
+    """
 
     base: Graph
-    red: frozenset[Edge]
     blue: frozenset[Edge]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "red", frozenset(self.red))
         object.__setattr__(self, "blue", frozenset(self.blue))
-        all_edges = set(self.base.edges())
-        if self.red & self.blue:
-            raise ValueError("red and blue overlap")
-        if self.red | self.blue != all_edges:
-            raise ValueError("coloring does not cover the edge set exactly")
+        if not self.blue <= frozenset(self.base.edges()):
+            raise ValueError("blue edges must be edges (u, v) of the base graph with u < v")
+
+    @property
+    def red(self) -> frozenset[Edge]:
+        return frozenset(self.base.edges()) - self.blue
 
     def red_graph(self) -> Graph:
         return make_graph(self.base.n, self.red)
@@ -54,9 +57,7 @@ class EdgeColoring:
 
 def make_coloring(g: Graph, blue: Iterable[Edge]) -> EdgeColoring:
     """Coloring of g with the given edges blue and the rest red."""
-    blue_set = frozenset(normalize_edge(u, v) for u, v in blue)
-    red_set = frozenset(g.edges()) - blue_set
-    return EdgeColoring(g, red_set, blue_set)
+    return EdgeColoring(g, frozenset(normalize_edge(u, v) for u, v in blue))
 
 
 def check_parameters(t: int, k: int) -> None:

@@ -136,7 +136,6 @@ class ConstructionParams:
 class RoleLayout:
     """Which vertex ids play which role; ids follow the module-docstring order."""
 
-    params: ConstructionParams
     anchor: tuple[int, ...]
     hubs: tuple[tuple[int, ...], ...]
     satellites: tuple[tuple[int, ...], ...]
@@ -183,7 +182,7 @@ def role_layout(params: ConstructionParams) -> RoleLayout:
     apexes = take(t - 2)
     near_apexes = take(t - 2)
     assert cursor == params.n
-    return RoleLayout(params, anchor, hubs, satellites, fillers, apexes, near_apexes)
+    return RoleLayout(anchor, hubs, satellites, fillers, apexes, near_apexes)
 
 
 def _clique_edges(group: tuple[int, ...]) -> list[tuple[int, int]]:

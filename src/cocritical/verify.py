@@ -12,16 +12,17 @@ It skips partitions that differ from a visited one only by permuting twin
 vertices, and a non-edge settled there settles every non-edge of its twin
 type.
 
-The structural checks read that coloring off the report, so they walk
-nothing again.  They translate what must hold for verified co-critical
-graphs under a maximum-red coloring into executable form: degree windows on
-the red side, cliques in common cross-neighborhoods behind every missing
-cross edge, forced block sizes next to singleton blocks, a clean minimum-
-degree neighborhood, a degree/k trade-off, a strict lower bound on
-within-block edges, and connectivity of the cross graph.  The two
-neighborhood items ask which vertices lie in every K_{t-2} inside a
-neighborhood of the cross graph; graphs.clique_core_in_mask answers that on
-the cross graph's own vertices, so the edges they report are its edges.
+The structural checks take the report alone and read the graph, (t, k)
+and that coloring off it, so they walk nothing again.  They translate what
+must hold for verified co-critical graphs under a maximum-red coloring into
+executable form: degree windows on the red side, cliques in common
+cross-neighborhoods behind every missing cross edge, forced block sizes next
+to singleton blocks, a clean minimum-degree neighborhood, a degree/k
+trade-off, a strict lower bound on within-block edges, and connectivity of
+the cross graph.  The two neighborhood items ask which vertices lie in
+every K_{t-2} inside a neighborhood of the cross graph;
+graphs.clique_core_in_mask answers that on the cross graph's own vertices,
+so the edges they report are its edges.
 """
 
 from __future__ import annotations
@@ -310,17 +311,16 @@ def _twin_image(blocks: list[int], source: Edge, target: Edge, twin_of: list[int
 # --- structure of good colorings on co-critical graphs ----------------------
 
 
-def check_critical_structure(g: Graph, c: EdgeColoring, t: int, k: int) -> list[str]:
+def check_critical_structure(c: EdgeColoring, t: int, k: int) -> list[str]:
     """Violations of the blue-component structure forced by co-criticality.
 
     On a co-critical graph every good coloring must have blue components that
     induce complete subgraphs, the components on fewer than k/2 vertices must
-    be pairwise fully adjacent in the base graph, and there can be at most
-    t-1 of those small ones.  Returns human-readable violations; empty means
-    the coloring is consistent with co-criticality of its base graph.
+    be pairwise fully adjacent in the base graph c.base, and there can be at
+    most t-1 of those small ones.  Returns human-readable violations; empty
+    means the coloring is consistent with co-criticality of its base graph.
     """
-    if c.base != g:
-        raise ValueError("coloring does not belong to this graph")
+    g = c.base
     if not is_critical(c, t, k):
         raise ValueError("coloring is not good for these parameters")
     violations: list[str] = []
@@ -379,29 +379,24 @@ class StructureReport:
         }
 
 
-def saturation_structure_checks(
-    g: Graph, t: int, k: int, cocritical_report: CocriticalReport | None = None
-) -> StructureReport:
+def saturation_structure_checks(report: CocriticalReport) -> StructureReport:
     """Evaluate the structural facts that hold for verified co-critical graphs.
 
-    Refuses to run unless the graph is verified co-critical for (t, k) (pass
-    a report from is_cocritical without fail_fast to skip re-verification).
-    The checks run against the report's maximum-red good coloring and its
-    cross graph; conditional items report applicable=False when their
-    hypotheses are not met.
+    Takes a report from is_cocritical and walks nothing: the graph is the
+    base of the report's maximum-red good coloring, and (t, k) are the
+    report's.  Refuses a report whose verdict is not co-critical, and one
+    that carries no coloring (fail_fast keeps none).  The checks run against
+    that coloring and its cross graph; conditional items report
+    applicable=False when their hypotheses are not met.
     """
-    report = cocritical_report or is_cocritical(g, t, k)
-    if (report.t, report.k) != (t, k):
-        raise ValueError(
-            f"report is for (t, k) = ({report.t}, {report.k}), checks asked for ({t}, {k})"
-        )
     if report.verdict() != CO_CRITICAL:
         raise ValueError(
             f"structure checks need a verified co-critical graph, got {report.verdict()}"
         )
     tau = report.coloring
-    if tau is None or tau.base != g:
-        raise ValueError("report carries no max-red coloring of this graph (fail_fast keeps none)")
+    if tau is None:
+        raise ValueError("report carries no max-red coloring (fail_fast keeps none)")
+    g, t, k = tau.base, report.t, report.k
     blocks = blue_blocks(tau)
     H = cross_graph(g, blocks)
     n = g.n
@@ -545,9 +540,6 @@ class MinSearchResult:
         }
 
 
-MIN_SEARCH_ORDER_CAP = GENERATION_ORDER_CAP
-
-
 def _refuting_non_edge(g: Graph, t: int) -> Edge | None:
     """The first non-edge uv, in g.non_edges() order, whose common
     neighbourhood N(u) & N(v) holds no K_{t-2}; None if there is none.
@@ -590,8 +582,8 @@ def min_cocritical_search(
     partition.  For t = 2 the lemma never fires, since every set holds a K_0.
     """
     check_parameters(t, k)
-    if not 1 <= n <= MIN_SEARCH_ORDER_CAP:
-        raise ValueError(f"n must be between 1 and {MIN_SEARCH_ORDER_CAP}, got {n}")
+    if not 1 <= n <= GENERATION_ORDER_CAP:
+        raise ValueError(f"n must be between 1 and {GENERATION_ORDER_CAP}, got {n}")
     budget = budget or SearchBudget()
     minimum: int | None = None
     witnesses: list[Graph] = []

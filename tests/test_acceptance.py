@@ -189,7 +189,7 @@ def test_a6_structure_suite():
     conditional = ("forced_block_sizes", "min_neighborhood_core")
     for t, k, n in ((4, 3, 13), (4, 4, 18)):
         g = build(ConstructionParams(t, k, n))
-        rep = saturation_structure_checks(g, t, k)
+        rep = saturation_structure_checks(is_cocritical(g, t, k))
         tag = f"({t},{k},{n})"
         for name in always:
             item = rep.items[name]
@@ -259,7 +259,7 @@ def test_a8_minimum_witnesses():
                 problems.append(f"{tag} stays colorable after adding {e}")
         # every good coloring respects the forced component structure
         for c in brute_force_critical_colorings(w, 3, 3):
-            if check_critical_structure(w, c, 3, 3):
+            if check_critical_structure(c, 3, 3):
                 problems.append(f"{tag} has a structurally invalid good coloring")
     report(8, "minimum witnesses exist, stay under the edge cap, and re-verify by brute force",
            problems, f"{len(witnesses)} witnesses on 5..7 vertices")

@@ -41,11 +41,12 @@ def test_make_coloring_partitions_edges():
 
 
 def test_coloring_validation():
-    g = complete_graph(3)
-    with pytest.raises(ValueError):
-        EdgeColoring(g, ((0, 1),), ((0, 1), (0, 2)))  # overlap
-    with pytest.raises(ValueError):
-        EdgeColoring(g, ((0, 1),), ((0, 2),))  # missing (1,2)
+    g = make_graph(3, [(0, 1), (1, 2)])  # the path 0-1-2
+    assert EdgeColoring(g, ((0, 1),)).red == {(1, 2)}
+    with pytest.raises(ValueError, match="of the base graph"):
+        EdgeColoring(g, ((0, 1), (0, 2)))  # (0,2) is not an edge
+    with pytest.raises(ValueError, match="of the base graph"):
+        EdgeColoring(g, ((1, 0),))  # reversed pair
 
 
 def test_is_critical_on_k4():

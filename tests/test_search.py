@@ -47,6 +47,9 @@ from cocritical.search import (
 )
 
 PAIRS = ((3, 3), (3, 4), (4, 3))
+# (t, k) with 2k <= r = (t-1)(k-1)+1, so K_r holds a clique on 2k vertices
+# and the clique-capacity rule fires on complete graphs near the threshold
+CAPACITY_THRESHOLD_PAIRS = ((4, 4), (5, 4), (4, 5), (4, 6), (5, 6))
 
 
 def rand_graph(rng, n, p=0.5, max_edges=16):
@@ -90,8 +93,10 @@ def test_oracle_agreement_random():
 
 
 def test_arrowing_thresholds():
-    # complete-graph arrowing flips exactly at (t-1)(k-1)+1
-    for (t, k), threshold in zip(PAIRS, (5, 7, 7)):
+    # complete-graph arrowing flips exactly at (t-1)(k-1)+1 (Chvatal), also
+    # where the clique-capacity rule cuts the walk
+    thresholds = (5, 7, 7, 10, 13, 13, 16, 21)
+    for (t, k), threshold in zip(PAIRS + CAPACITY_THRESHOLD_PAIRS, thresholds):
         for n in range(2, threshold + 1):
             assert arrows(complete_graph(n), t, k) == (n == threshold)
 
@@ -650,3 +655,22 @@ def test_capacity_rule_cuts_k6_and_keeps_its_verdict():
     assert mine == oracle
     assert nodes < oracle_nodes
     assert mine[1] and brute_force_exists(g, 4, 3)
+
+
+@pytest.mark.parametrize(
+    "t, k, n, walk_nodes, oracle_nodes",
+    [
+        (4, 4, 8, 1240, 1262),
+        (4, 4, 9, 1605, 1810),
+        (4, 4, 10, 46, 1136),
+        (4, 5, 10, 22522, 22615),
+        (4, 5, 11, 44696, 45756),
+    ],
+)
+def test_capacity_rule_keeps_complete_graph_leaf_sequences(t, k, n, walk_nodes, oracle_nodes):
+    # complete graphs at k >= 4, away from the construction graphs: the walk
+    # without the twin rule gives the leaves of the oracle without the
+    # capacity rule, in its order, and the rule cuts nodes on every one
+    mine, oracle, nodes, got_oracle_nodes = leaf_sequences(complete_graph(n), t, k, False, True)
+    assert mine == oracle
+    assert (nodes, got_oracle_nodes) == (walk_nodes, oracle_nodes)

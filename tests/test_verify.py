@@ -169,6 +169,27 @@ def test_verify_checks_walk_the_graph_once(monkeypatch, capsys):
     assert calls == [(4, 4)]
 
 
+def test_structure_checks_walk_nothing(monkeypatch):
+    # the checks read the report alone: with every walk disabled they give
+    # the same results as with the walk in place
+    report = is_cocritical(build(ConstructionParams(4, 4, 18)), 4, 4)
+    want = (
+        saturation_structure_checks(report),
+        check_critical_structure(report.coloring, 4, 4),
+    )
+
+    def no_walk(*args, **kwargs):
+        raise AssertionError("structure checks must not walk")
+
+    monkeypatch.setattr(search, "_walk_partitions", no_walk)
+    monkeypatch.setattr(verify, "_walk_partitions", no_walk)
+    got = (
+        saturation_structure_checks(report),
+        check_critical_structure(report.coloring, 4, 4),
+    )
+    assert got == want and want[0].all_passed()
+
+
 def _leaves(g, t, k, lower_twins=None):
     leaves = []
 
@@ -417,57 +438,45 @@ def test_minimum_witness_is_cocritical():
 
 def test_check_critical_structure_passes_on_instance():
     p = ConstructionParams(4, 3, 13)
-    assert check_critical_structure(build(p), blueprint_coloring(p), 4, 3) == []
+    assert check_critical_structure(blueprint_coloring(p), 4, 3) == []
 
 
 def test_check_critical_structure_violations():
     # blue spanning path of a non-clique component
     g = path_graph(3)
     c = make_coloring(g, [(0, 1), (1, 2)])
-    violations = check_critical_structure(g, c, 3, 4)
+    violations = check_critical_structure(c, 3, 4)
     assert any("misses base edge (0,2)" in v for v in violations)
     # singleton components that are not pairwise adjacent, and too many of them
     g = empty_graph(3)
     c = make_coloring(g, [])
-    violations = check_critical_structure(g, c, 3, 4)
+    violations = check_critical_structure(c, 3, 4)
     assert any("miss edge" in v for v in violations)
     assert any("exceeds t-1" in v for v in violations)
 
 
 def test_check_critical_structure_input_validation():
     p = ConstructionParams(4, 3, 13)
-    g, c = build(p), blueprint_coloring(p)
+    g = build(p)
     with pytest.raises(ValueError):
-        check_critical_structure(complete_graph(13), c, 4, 3)
-    with pytest.raises(ValueError):
-        check_critical_structure(g, make_coloring(g, []), 4, 3)  # red has K_4
+        check_critical_structure(make_coloring(g, []), 4, 3)  # red has K_4
 
 
 def test_saturation_checks_refuse_unverified_graphs():
     with pytest.raises(ValueError):
-        saturation_structure_checks(cycle_graph(5), 3, 3)
-
-
-def test_saturation_checks_refuse_a_report_for_other_parameters():
-    g = build(ConstructionParams(4, 3, 13))
-    report = is_cocritical(g, 4, 3)
-    with pytest.raises(ValueError, match=r"\(4, 3\).*\(4, 4\)"):
-        saturation_structure_checks(g, 4, 4, cocritical_report=report)
+        saturation_structure_checks(is_cocritical(cycle_graph(5), 3, 3))
 
 
 def test_saturation_checks_need_the_reports_coloring():
     g = build(ConstructionParams(4, 3, 13))
     fast = is_cocritical(g, 4, 3, fail_fast=True)
     with pytest.raises(ValueError, match="no max-red coloring"):
-        saturation_structure_checks(g, 4, 3, cocritical_report=fast)
-    other = is_cocritical(parse_graph6("DN{"), 3, 3)
-    with pytest.raises(ValueError, match="no max-red coloring"):
-        saturation_structure_checks(cycle_graph(5), 3, 3, cocritical_report=other)
+        saturation_structure_checks(fast)
 
 
 def test_saturation_checks_on_frozen_instance():
     g = build(ConstructionParams(4, 3, 13))
-    report = saturation_structure_checks(g, 4, 3)
+    report = saturation_structure_checks(is_cocritical(g, 4, 3))
     assert report.all_passed()
     items = report.items
     assert items["degree_bounds"].applicable and items["degree_bounds"].passed
