@@ -96,32 +96,16 @@ class ConstructionParams:
     def __post_init__(self) -> None:
         if self.t < 3 or self.k < 3:
             raise ValueError("construction needs t >= 3 and k >= 3")
-        if self.n < self.min_order():
-            raise ValueError(
-                f"n = {self.n} below the construction threshold {self.min_order()}"
-            )
+        low = min_order(self.t, self.k)
+        if self.n < low:
+            raise ValueError(f"n = {self.n} below the construction threshold {low}")
         if self.n > MAX_ORDER:
             raise ValueError(f"n = {self.n} exceeds graph order cap {MAX_ORDER}")
 
-    def min_order(self) -> int:
-        return min_order(self.t, self.k)
-
-    @property
-    def half(self) -> int:
-        return half_up(self.k)
-
-    @property
-    def surplus(self) -> int:
-        """Base vertices left over for filler cliques."""
-        return self.n - (2 * self.t - 3) * (self.k - 1)
-
-    @property
-    def filler_quotient(self) -> int:
-        return self.surplus // self.half
-
-    @property
-    def filler_remainder(self) -> int:
-        return self.surplus % self.half
+    def filler_split(self) -> tuple[int, int]:
+        """divmod of the base vertices left over for filler cliques by
+        ceil(k/2)."""
+        return divmod(self.n - (2 * self.t - 3) * (self.k - 1), half_up(self.k))
 
     def warnings(self) -> tuple[str, ...]:
         if self.t not in ANALYZED_CLIQUE_ORDERS:
@@ -162,7 +146,8 @@ class RoleLayout:
 
 def role_layout(params: ConstructionParams) -> RoleLayout:
     t, k = params.t, params.k
-    s, r = params.filler_quotient, params.filler_remainder
+    s, r = params.filler_split()
+    h = half_up(k)
     cursor = 0
 
     def take(count: int) -> tuple[int, ...]:
@@ -177,7 +162,7 @@ def role_layout(params: ConstructionParams) -> RoleLayout:
     if k == 3:
         filler_sizes = [2] * s + [1] * r
     else:
-        filler_sizes = [params.half] * (s - r) + [params.half + 1] * r
+        filler_sizes = [h] * (s - r) + [h + 1] * r
     fillers = tuple(take(size) for size in filler_sizes)
     apexes = take(t - 2)
     near_apexes = take(t - 2)
@@ -222,8 +207,8 @@ def build(params: ConstructionParams) -> Graph:
 def expected_edge_count(params: ConstructionParams) -> int:
     """Closed-form edge count, summed over the labeled pieces."""
     t, k, n = params.t, params.k, params.n
-    s, r = params.filler_quotient, params.filler_remainder
-    h = params.half
+    s, r = params.filler_split()
+    h = half_up(k)
     apex_to_base = (t - 2) * (2 * n - 4 * t - k + 9)
     among_apexes = comb(t - 2, 2) + (t - 2) * (t - 3)
     hubs_to_satellites = (t - 2) * (k - 2) ** 2

@@ -23,17 +23,26 @@ Four rules prune the walk, each argued in _walk_partitions:
   clique of g must meet more than t-1 blocks is dropped.  This and the
   forced-merge rule cut only subtrees without a leaf, so every search visits
   the same leaves in the same order;
-- the twin rule, only in the co-criticality walk (verify.is_cocritical): of
+- the twin rule, only in the co-criticality walk (verify.is_cocritical sets
+  the walk's twins flag, and the walk derives the twin masks from g): of
   partitions that differ by permuting twins, only the lex-leader is kept.
   The standalone searches here visit every good partition.
+
+Every walk returns its first leaf as a BlockPartition, re-checked by
+_assert_witness independently of the walker, or None when it reached no
+leaf.  That leaf is the witness of exists_critical_coloring and the base
+witness of verify.is_cocritical; the other queries discard it, but their
+walks check it all the same.
 
 A leaf's good colorings are its good refinements: blue edge sets inside the
 blocks that connect each block and leave no red K_t.  One generator,
 _good_refinements, yields them lazily in (len(blue), blue) order, each with
 fewer blue edges than an optional bound, and raises the budget exception
-once the caller's time cap runs out.  max_red_critical_coloring and the
-fold in verify.is_cocritical take its first item per leaf;
-enumerate_critical_colorings takes every item.
+once the caller's time cap runs out.  One leaf step, _max_red_step, takes
+its first item per leaf for max_red_critical_coloring and for the fold in
+verify.is_cocritical; enumerate_critical_colorings takes every item.
+_good_refinements and the co-criticality leaf step read a leaf's block and
+cross rows from _leaf_rows.
 
 Budgets cap tree nodes and wall time; outcomes say whether the space was
 exhausted or the budget ran out, and an `arrows` query that dies on budget
@@ -65,6 +74,7 @@ from .graphs import (
     enumerate_cliques,
     iter_bits,
     maximal_cliques,
+    twin_masks,
 )
 
 FOUND = "found"
@@ -120,14 +130,18 @@ class _Stop(Exception):
     pass
 
 
-def _walk_partitions(g: Graph, t: int, k: int, budget: SearchBudget, on_partition, lower_twins=None):
+def _walk_partitions(g: Graph, t: int, k: int, budget: SearchBudget, on_partition, twins: bool = False):
     """Visit every connected-block partition with a clique-free cross graph.
 
     on_partition(blocks) gets the list of block masks of each complete
     partition (a list the walker goes on reusing) and returns True to stop
     the walk, which unwinds by raising _Stop.  Returns (status, nodes,
-    millis) where status is EXHAUSTED, FOUND (stopped by on_partition, even
-    at the last leaf), or BUDGET_EXCEEDED.
+    millis, first) where status is EXHAUSTED, FOUND (stopped by
+    on_partition, even at the last leaf), or BUDGET_EXCEEDED, and first is
+    the first leaf the walk reached as a BlockPartition, or None when it
+    reached none.  Every walk re-checks that leaf with _assert_witness,
+    independently of the walker, before it returns it; the 0-vertex graph's
+    one leaf is the empty partition.
 
     Each placement copies its parent's cross rows, adds the edges from the
     new block to the unplaced rest and hands the copy down, so nothing is
@@ -190,15 +204,16 @@ def _walk_partitions(g: Graph, t: int, k: int, budget: SearchBudget, on_partitio
     fail_fast's first settling leaf and the max-red tie-break are the same
     with or without it.
 
-    lower_twins, when given, holds per vertex the mask of its twins
-    (graphs.twin_classes) with smaller ids, and the walk keeps only the
-    partitions that obey the lex-leader rule of Crawford, Ginsberg, Luks and
-    Roy (KR 1996): a block may hold twin w only if every lower twin of w is
-    in an earlier block or in the same one.  A block that breaks it is
-    counted as a node but not placed; grow still extends it, since a larger
-    block may take the lower twin in.  Every leaf below an unplaced block
-    breaks the rule, so the walk visits exactly the rule-obeying leaves, in
-    the same relative order.
+    With twins set, the walk takes per vertex the mask of its twins
+    (graphs.twin_masks) with smaller ids, and keeps only the partitions that
+    obey the lex-leader rule of Crawford, Ginsberg, Luks and Roy (KR 1996):
+    a block may hold twin w only if every lower twin of w is in an earlier
+    block or in the same one.  The walk derives the masks from g itself, so
+    no caller can hand it masks that the soundness argument below does not
+    cover.  A block that breaks the rule is counted as a node but not
+    placed; grow still extends it, since a larger block may take the lower
+    twin in.  Every leaf below an unplaced block breaks the rule, so the
+    walk visits exactly the rule-obeying leaves, in the same relative order.
 
     Soundness.  Swapping two twins is an automorphism of g: it keeps blocks
     connected and of the same size and maps the cross graph onto an
@@ -230,15 +245,20 @@ def _walk_partitions(g: Graph, t: int, k: int, budget: SearchBudget, on_partitio
     need = t - 2
     # (index of its count in the tail of cross, mask) per large maximal clique
     capacity = list(enumerate(maximal_cliques(g, 2 * k, CAPACITY_CLIQUE_CAP), g.n))
-    has_lower = 0 if lower_twins is None else sum(1 << v for v, m in enumerate(lower_twins) if m)
+    lower = [m & ((1 << v) - 1) for v, m in enumerate(twin_masks(g))] if twins else []
+    has_lower = sum(1 << v for v, m in enumerate(lower) if m)
     blocks: list[int] = []
+    first: list[int] | None = None
     start = time.perf_counter()
     deadline = start + budget.time_cap
     node_cap = budget.node_cap
     nodes = 0
 
     def place(unassigned: int, cross: list[int]) -> None:
+        nonlocal first
         if unassigned == 0:
+            if first is None:
+                first = list(blocks)
             if on_partition(blocks):
                 raise _Stop
             return
@@ -265,11 +285,11 @@ def _walk_partitions(g: Graph, t: int, k: int, budget: SearchBudget, on_partitio
         if nodes & 63 == 1 and time.perf_counter() > deadline:
             raise _BudgetHit
         rest = unassigned & ~block
-        twins = block & has_lower
-        while twins:
-            w_bit = twins & -twins
-            twins ^= w_bit
-            if lower_twins[w_bit.bit_length() - 1] & rest:
+        ws = block & has_lower
+        while ws:
+            w_bit = ws & -ws
+            ws ^= w_bit
+            if lower[w_bit.bit_length() - 1] & rest:
                 return
         cross = cross[:]
         # the clique-capacity lookahead: cross[i] counts the placed blocks
@@ -331,7 +351,10 @@ def _walk_partitions(g: Graph, t: int, k: int, budget: SearchBudget, on_partitio
     except _BudgetHit:
         status = BUDGET_EXCEEDED
     millis = (time.perf_counter() - start) * 1000.0
-    return status, nodes, millis
+    if first is None:
+        return status, nodes, millis, None
+    _assert_witness(adj, t, k, first)
+    return status, nodes, millis, make_partition(map(iter_bits, first), limit)
 
 
 def _assert_witness(rows: Sequence[int], t: int, k: int, blocks: Sequence[int]) -> None:
@@ -366,24 +389,13 @@ def _assert_witness(rows: Sequence[int], t: int, k: int, blocks: Sequence[int]) 
         raise AssertionError("witness cross graph has a forbidden clique")
 
 
-def exists_critical_coloring(g: Graph, t: int, k: int, budget: SearchBudget | None = None) -> SearchOutcome:
+def exists_critical_coloring(g: Graph, t: int, k: int, budget: SearchBudget = SearchBudget()) -> SearchOutcome:
     """Decide whether g admits a good coloring; found outcomes carry a partition."""
-    budget = budget or SearchBudget()
-    holder: list[list[int]] = []
-
-    def on_partition(blocks: list[int]) -> bool:
-        holder.append(list(blocks))
-        return True
-
-    status, nodes, millis = _walk_partitions(g, t, k, budget, on_partition)
-    witness = None
-    if holder:
-        _assert_witness(g.adj, t, k, holder[0])
-        witness = make_partition(map(iter_bits, holder[0]), k - 1)
+    status, nodes, millis, witness = _walk_partitions(g, t, k, budget, lambda blocks: True)
     return SearchOutcome(status, witness, nodes, millis)
 
 
-def arrows(g: Graph, t: int, k: int, budget: SearchBudget | None = None) -> bool:
+def arrows(g: Graph, t: int, k: int, budget: SearchBudget = SearchBudget()) -> bool:
     """Does every red/blue coloring of g produce a red t-clique or a blue
     component on at least k vertices?  Raises when the budget runs out first."""
     outcome = exists_critical_coloring(g, t, k, budget)
@@ -395,6 +407,17 @@ def arrows(g: Graph, t: int, k: int, budget: SearchBudget | None = None) -> bool
 
 
 # --- refinements of a partition into explicit colorings ---------------------
+
+
+def _leaf_rows(adj: Sequence[int], blocks: Sequence[int]) -> tuple[list[int], list[int]]:
+    """Per vertex, the mask of its block and its row of the cross graph (its
+    neighbours in other blocks), for a leaf of the walk on the graph with
+    adjacency rows adj."""
+    block_of = [0] * len(adj)
+    for m in blocks:
+        for v in iter_bits(m):
+            block_of[v] = m
+    return block_of, [row & ~block_of[v] for v, row in enumerate(adj)]
 
 
 def _good_refinements(g: Graph, t: int, blocks: list[int], below: int | None = None, deadline: float = float("inf")):
@@ -433,11 +456,7 @@ def _good_refinements(g: Graph, t: int, blocks: list[int], below: int | None = N
     if below is not None and g.n - len(blocks) >= below:
         return  # skip the set-up: no refinement is small enough
     adj = g.adj
-    block_of = [0] * g.n
-    for m in blocks:
-        for v in iter_bits(m):
-            block_of[v] = m
-    red = [adj[v] & ~block_of[v] for v in range(g.n)]
+    block_of, red = _leaf_rows(adj, blocks)
     edges = [(u, v) for u in range(g.n) for v in iter_bits(adj[u] & block_of[u]) if u < v]
 
     def connected(block: int) -> bool:
@@ -474,7 +493,18 @@ def _good_refinements(g: Graph, t: int, blocks: list[int], below: int | None = N
         yield from fill(0, size)
 
 
-def enumerate_critical_colorings(g: Graph, t: int, k: int, budget: SearchBudget | None = None) -> list[EdgeColoring]:
+def _max_red_step(g: Graph, t: int, blocks: list[int], best: list, deadline: float) -> None:
+    """The max-red leaf step.  best holds the blue edges of the best
+    refinement so far, or nothing at the start; the step puts in its place
+    the first item of _good_refinements below that count, which is the
+    leaf's least good refinement in (len(blue), blue) order if that has
+    fewer blue edges."""
+    blue = next(_good_refinements(g, t, blocks, len(best[0]) if best else None, deadline), None)
+    if blue is not None:
+        best[:] = [blue]
+
+
+def enumerate_critical_colorings(g: Graph, t: int, k: int, budget: SearchBudget = SearchBudget()) -> list[EdgeColoring]:
     """All good colorings, ordered by partition then blue edge set.
 
     The result is truncated at ENUMERATION_CAP; running out of nodes or
@@ -483,7 +513,6 @@ def enumerate_critical_colorings(g: Graph, t: int, k: int, budget: SearchBudget 
     from _good_refinements, which also checks the time cap; an EdgeColoring
     is built only for each coloring returned.
     """
-    budget = budget or SearchBudget()
     results: list[tuple[tuple, tuple]] = []
     deadline = time.perf_counter() + budget.time_cap
 
@@ -492,39 +521,35 @@ def enumerate_critical_colorings(g: Graph, t: int, k: int, budget: SearchBudget 
         results.extend((part_key, blue) for blue in _good_refinements(g, t, blocks, deadline=deadline))
         return len(results) >= ENUMERATION_CAP
 
-    status, nodes, _ = _walk_partitions(g, t, k, budget, on_partition)
+    status, nodes, _, _ = _walk_partitions(g, t, k, budget, on_partition)
     if status == BUDGET_EXCEEDED:
         raise IndeterminateResultError(f"enumeration incomplete after {nodes} nodes")
     results.sort()
     return [make_coloring(g, blue) for _, blue in results[:ENUMERATION_CAP]]
 
 
-def max_red_critical_coloring(g: Graph, t: int, k: int, budget: SearchBudget | None = None) -> EdgeColoring:
+def max_red_critical_coloring(g: Graph, t: int, k: int, budget: SearchBudget = SearchBudget()) -> EdgeColoring:
     """A good coloring with the most red edges; first in canonical order on ties.
 
-    Minimizing blue is the same thing.  Every leaf of the full walk takes
-    the first item of _good_refinements below the best count so far: its
-    least good refinement in (len(blue), blue) order, if that has fewer blue
-    edges.  Across partitions the first one found in walk order wins a tie.
+    Minimizing blue is the same thing.  Every leaf of the full walk goes
+    through _max_red_step, which keeps the leaf's least good refinement in
+    (len(blue), blue) order if that has fewer blue edges than the best so
+    far.  Across partitions the first one found in walk order wins a tie.
     Only the answer is built as an EdgeColoring.
     """
-    budget = budget or SearchBudget()
-    best: dict = {"count": None, "blue": None}
+    best: list = []  # blue edges of the max-red refinement so far
     deadline = time.perf_counter() + budget.time_cap
 
     def on_partition(blocks: list[int]) -> bool:
-        blue = next(_good_refinements(g, t, blocks, best["count"], deadline), None)
-        if blue is not None:
-            best["count"] = len(blue)
-            best["blue"] = blue
+        _max_red_step(g, t, blocks, best, deadline)
         return False
 
-    status, nodes, _ = _walk_partitions(g, t, k, budget, on_partition)
+    status, nodes, _, _ = _walk_partitions(g, t, k, budget, on_partition)
     if status == BUDGET_EXCEEDED:
         raise IndeterminateResultError(f"maximization incomplete after {nodes} nodes")
-    if best["count"] is None:
+    if not best:
         raise NoCriticalColoringError("graph admits no good coloring")
-    coloring = make_coloring(g, best["blue"])
+    coloring = make_coloring(g, best[0])
     assert is_critical(coloring, t, k)
     return coloring
 

@@ -41,7 +41,6 @@ from .coloring import (
     cross_graph,
     is_critical,
     make_coloring,
-    make_partition,
 )
 from .construction import block_edge_lower_bound
 from .graphs import (
@@ -60,7 +59,8 @@ from .search import (
     FOUND,
     SearchBudget,
     _assert_witness,
-    _good_refinements,
+    _leaf_rows,
+    _max_red_step,
     _walk_partitions,
 )
 
@@ -126,7 +126,7 @@ def is_cocritical(
     g: Graph,
     t: int,
     k: int,
-    budget: SearchBudget | None = None,
+    budget: SearchBudget = SearchBudget(),
     fail_fast: bool = False,
 ) -> CocriticalReport:
     """Full co-criticality report from one walk over the good partitions of g.
@@ -149,18 +149,19 @@ def is_cocritical(
     bridge of that block; its two sides have no g-edge between them, so
     splitting the block leaves the cross graph unchanged and (2) holds.
 
-    Twins.  The walk keeps only the partitions that obey the lex-leader
-    twin rule (search._walk_partitions, given the lower-twin masks of
-    graphs.twin_classes): every orbit of good partitions under permutations
-    inside twin classes has a member that obeys it.  A non-edge's type is
-    the unordered pair of its ends' twin classes; a permutation inside the
-    classes sends any non-edge of a type to any other and g+uv onto g+u'v',
-    so the non-edges of one type all arrow or all do not.  A leaf that
-    settles uv settles its whole type, and the orbit argument shows that
-    every type some good partition settles is settled by a visited one.
-    Each reported non-edge's witness is the settling leaf mapped by the
-    twin permutation that sends the settled non-edge to it (_twin_image),
-    built only for the non-edges the report lists and re-checked on g+uv.
+    Twins.  The walk keeps only the partitions that obey the lex-leader twin
+    rule (search._walk_partitions with twins set): every orbit of good
+    partitions under permutations inside twin classes has a member that
+    obeys it.  A non-edge's type is the unordered pair of its ends' twin
+    classes; a permutation inside the classes sends any non-edge of a type
+    to any other and g+uv onto g+u'v', so the non-edges of one type all
+    arrow or all do not.  A leaf that settles uv settles its whole type, and
+    the orbit argument shows that every type some good partition settles is
+    settled by a visited one.  Each reported non-edge's witness is the
+    settling leaf mapped by the twin permutation that sends the settled
+    non-edge to it (_twin_image), built only for the non-edges the report
+    lists and re-checked on g+uv.  The base witness is the walk's first leaf,
+    which the walk re-checks itself.
 
     The walk therefore tests every open non-edge at every leaf, skipping one
     whose type an earlier non-edge of the leaf settled, and stops once no
@@ -175,33 +176,28 @@ def is_cocritical(
     That leaf is the full walk's first settling leaf too (see below), so the
     reported non-edge is as well.
 
-    Without fail_fast, every leaf also goes to search._good_refinements until
-    a non-edge is settled, and a co-critical report (nothing settled, walk
+    Without fail_fast, every leaf also goes to search._max_red_step until a
+    non-edge is settled, and a co-critical report (nothing settled, walk
     exhausted) carries the max-red coloring that max_red_critical_coloring
-    returns.  Both run the same leaf step over their leaves in walk order:
-    the first item of _good_refinements below the best count so far, which
-    is the leaf's least good refinement in (len(blue), blue) order if that
-    has fewer blue edges.  The standalone search takes every leaf of the
-    full walk.  Improvements are strict, so its answer is the least good
-    refinement of the first leaf, in walk order, that has one with the
-    fewest blue edges m.  The twin rule keeps that: having a good
-    refinement with m blue edges, like settling some non-edge or being a
-    leaf at all, is a property twin permutations preserve, and the
-    first leaf of the full walk with such a property obeys the rule
+    returns.  Both run that one leaf step over their leaves in walk order: it
+    keeps the leaf's least good refinement in (len(blue), blue) order if
+    that has fewer blue edges than the best so far.  The standalone search
+    takes every leaf of the full walk.  Improvements are strict, so its
+    answer is the least good refinement of the first leaf, in walk order,
+    that has one with the fewest blue edges m.  The twin rule keeps that:
+    having a good refinement with m blue edges, like settling some non-edge
+    or being a leaf at all, is a property twin permutations preserve, and
+    the first leaf of the full walk with such a property obeys the rule
     (search._walk_partitions, "Walk order").  So the base witness, the first
     settling leaf and the leaf that holds the max-red coloring are the full
     walk's.  A fail_fast walk may stop at any settling leaf, so it keeps no
     coloring.
     """
-    budget = budget or SearchBudget()
     deadline = time.perf_counter() + budget.time_cap
-    n, adj, limit, need = g.n, g.adj, k - 1, t - 2
+    adj, limit, need = g.adj, k - 1, t - 2
     twin_of = twin_masks(g)
     non_edges = g.non_edges()
     open_edges = list(non_edges)
-    # the first leaf's block masks, the base witness, kept in a list so that
-    # the 0-vertex graph's one leaf (no blocks) differs from no leaf at all
-    first: list[list[int]] = []
     # non-edge type (the union of its ends' twin classes) -> the first
     # non-edge of that type a leaf settled, and that good partition of g+uv
     settled: dict[int, tuple[Edge, list[int]]] = {}
@@ -209,13 +205,7 @@ def is_cocritical(
 
     def on_partition(blocks: list[int]) -> bool:
         leaf = list(blocks)  # the walker reuses its list
-        if not first:
-            first.append(leaf)
-        block_of = [0] * n
-        for m in blocks:
-            for v in iter_bits(m):
-                block_of[v] = m
-        cross = [adj[v] & ~block_of[v] for v in range(n)]
+        block_of, cross = _leaf_rows(adj, blocks)
         still_open = []
         for u, v in open_edges:
             kind = twin_of[u] | twin_of[v]
@@ -237,18 +227,13 @@ def is_cocritical(
             still_open = [(u, v) for u, v in still_open if twin_of[u] | twin_of[v] not in settled]
         open_edges[:] = still_open
         if not (fail_fast or settled):
-            blue = next(_good_refinements(g, t, blocks, len(best[0]) if best else None, deadline), None)
-            if blue is not None:
-                best[:] = [blue]
+            _max_red_step(g, t, blocks, best, deadline)
         return not open_edges
 
-    lower = [m & ((1 << v) - 1) for v, m in enumerate(twin_of)]
-    status, nodes, millis = _walk_partitions(g, t, k, budget, on_partition, lower_twins=lower)
-    if not first:
+    status, nodes, millis, base_witness = _walk_partitions(g, t, k, budget, on_partition, twins=True)
+    if base_witness is None:
         # no good base coloring, or none found within the budget
         return CocriticalReport(t, k, len(non_edges), status, None, (), nodes, millis, True)
-    _assert_witness(adj, t, k, first[0])
-    base_witness = make_partition(map(iter_bits, first[0]), limit)
     checked = non_edges
     if fail_fast and settled:
         # the one settling leaf tested in non_edges order: its first hit
@@ -555,7 +540,7 @@ def _refuting_non_edge(g: Graph, t: int) -> Edge | None:
 
 
 def min_cocritical_search(
-    t: int, k: int, n: int, budget: SearchBudget | None = None
+    t: int, k: int, n: int, budget: SearchBudget = SearchBudget()
 ) -> MinSearchResult:
     """Scan every graph on n vertices up to isomorphism, in edge-count order,
     for co-critical ones; report the minimum size and all witnesses there.
@@ -584,7 +569,6 @@ def min_cocritical_search(
     check_parameters(t, k)
     if not 1 <= n <= GENERATION_ORDER_CAP:
         raise ValueError(f"n must be between 1 and {GENERATION_ORDER_CAP}, got {n}")
-    budget = budget or SearchBudget()
     minimum: int | None = None
     witnesses: list[Graph] = []
     indeterminate: list[tuple[Graph, int]] = []

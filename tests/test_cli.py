@@ -1,8 +1,10 @@
 """Command line contract: exit codes, JSON report shape, stderr summaries."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from test_verify import refuting_by_combinations
@@ -612,10 +614,14 @@ def test_percolate_usage_error_precedes_the_coloring(capsys, argv, message):
 
 
 def test_entry_point_subprocess():
+    env = dict(os.environ)
+    src = Path(__file__).resolve().parent.parent / "src"
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "cocritical.cli", "arrows", "--complete", "5", "--t", "3", "--k", "3"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["results"]["arrows"] is True

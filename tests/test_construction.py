@@ -55,8 +55,8 @@ def test_bound_formulas_frozen_values():
 
 
 def test_params_validation():
-    assert ConstructionParams(4, 3, 13).min_order() == 13
-    assert ConstructionParams(4, 4, 18).min_order() == 18
+    assert min_order(4, 3) == 13
+    assert min_order(4, 4) == 18
     with pytest.raises(ValueError):
         ConstructionParams(4, 3, 12)  # below threshold
     with pytest.raises(ValueError):

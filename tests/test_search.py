@@ -8,7 +8,7 @@ from itertools import combinations, product
 import pytest
 from test_graphs import is_connected_mask
 
-from cocritical import search
+from cocritical import search, verify
 from cocritical.canon import nonisomorphic_graphs
 from cocritical.coloring import (
     cross_graph,
@@ -23,6 +23,7 @@ from cocritical.graphs import (
     _clique_rec,
     bitmask,
     complete_graph,
+    empty_graph,
     has_clique,
     iter_bits,
     make_graph,
@@ -402,7 +403,7 @@ def reference_good_partitions(g, t, k):
 
 def walk_leaves(g, t, k):
     leaves = []
-    status, _, _ = _walk_partitions(
+    status, _, _, _ = _walk_partitions(
         g, t, k, SearchBudget(), lambda blocks: leaves.append(frozenset(blocks))
     )
     assert status == EXHAUSTED
@@ -432,7 +433,7 @@ def test_walk_stops_at_the_leaf_that_asks():
                     calls.append(list(blocks))
                     return len(calls) == j
 
-                status, _, _ = _walk_partitions(g, t, k, SearchBudget(), on_partition)
+                status, _, _, _ = _walk_partitions(g, t, k, SearchBudget(), on_partition)
                 assert status == FOUND and len(calls) == j
                 stopped += 1
     assert stopped > 100
@@ -444,16 +445,65 @@ def test_time_cap_stops_a_short_walk_within_64_nodes(monkeypatch):
     # 1 and every 64 nodes after, so even a walk of fewer than 1,024 nodes
     # stops at the next read, 64 nodes after the deadline passed
     g = build(ConstructionParams(4, 4, 18))
-    lower = lower_twins(g)
-    status, total, _ = _walk_partitions(g, 4, 4, SearchBudget(), lambda blocks: False, lower)
+    status, total, _, _ = _walk_partitions(g, 4, 4, SearchBudget(), lambda blocks: False, twins=True)
     assert status == EXHAUSTED and total == 931
     for reads in range(total // 64 + 1):
         clock = iter([0.0] * (1 + reads))
         monkeypatch.setattr(search.time, "perf_counter", lambda: next(clock, 1.0))
-        status, nodes, _ = _walk_partitions(
-            g, 4, 4, SearchBudget(time_cap=0.5), lambda blocks: False, lower
+        status, nodes, _, _ = _walk_partitions(
+            g, 4, 4, SearchBudget(time_cap=0.5), lambda blocks: False, twins=True
         )
         assert (status, nodes) == (BUDGET_EXCEEDED, 64 * reads + 1)
+
+
+def test_walk_returns_its_first_leaf():
+    # with and without the twin rule, the walk's first is the first leaf
+    # on_partition saw, as a partition, or None when it saw none
+    reached = {True: 0, False: 0}
+    for g in [empty_graph(0)] + [g for n in range(1, 6) for g in nonisomorphic_graphs(n)]:
+        for t, k in PAIRS:
+            for twins in (False, True):
+                seen = []
+
+                def on_partition(blocks):
+                    seen.append([list(iter_bits(m)) for m in blocks])
+                    return False
+
+                _, _, _, first = _walk_partitions(g, t, k, SearchBudget(), on_partition, twins)
+                assert first == (make_partition(seen[0], k - 1) if seen else None), (g.adj, t, k)
+                reached[first is not None] += 1
+    assert reached[True] and reached[False]
+    for t, k in PAIRS:
+        assert _walk_partitions(empty_graph(0), t, k, SearchBudget(), lambda blocks: True)[3] == make_partition([], k - 1)
+
+
+def test_walk_without_a_leaf_returns_no_first():
+    for t, k in PAIRS:
+        r = (t - 1) * (k - 1) + 1  # Chvatal: K_r arrows (K_t, T_k)
+        status, _, _, first = _walk_partitions(complete_graph(r), t, k, SearchBudget(), lambda blocks: False)
+        assert (status, first) == (EXHAUSTED, None)
+    g = build(ConstructionParams(4, 4, 18))
+    status, _, _, first = _walk_partitions(g, 4, 4, SearchBudget(node_cap=1), lambda blocks: True)
+    assert (status, first) == (BUDGET_EXCEEDED, None)
+
+
+def test_every_query_rechecks_its_first_leaf(monkeypatch):
+    class Rechecked(Exception):
+        pass
+
+    def refuse(*args):
+        raise Rechecked
+
+    monkeypatch.setattr(search, "_assert_witness", refuse)
+    g = build(ConstructionParams(4, 3, 13))
+    for query in (
+        exists_critical_coloring,
+        max_red_critical_coloring,
+        enumerate_critical_colorings,
+        verify.is_cocritical,
+    ):
+        with pytest.raises(Rechecked):
+            query(g, 4, 3)
 
 
 def lower_twins(g):
@@ -557,8 +607,8 @@ def ruleless_walk(g, t, k, on_partition, lower_twins=None, forced_merge=False):
 def walk_in_order(g, t, k, lower):
     """((status, leaves in walk order), nodes) of the walk."""
     got = []
-    status, nodes, _ = _walk_partitions(
-        g, t, k, SearchBudget(), lambda blocks: got.append(tuple(blocks)), lower_twins=lower
+    status, nodes, _, _ = _walk_partitions(
+        g, t, k, SearchBudget(), lambda blocks: got.append(tuple(blocks)), twins=lower is not None
     )
     return (status, got), nodes
 

@@ -190,14 +190,14 @@ def test_structure_checks_walk_nothing(monkeypatch):
     assert got == want and want[0].all_passed()
 
 
-def _leaves(g, t, k, lower_twins=None):
+def _leaves(g, t, k, twins=False):
     leaves = []
 
     def on_partition(blocks):
         leaves.append(tuple(blocks))
         return False
 
-    _walk_partitions(g, t, k, SearchBudget(), on_partition, lower_twins=lower_twins)
+    _walk_partitions(g, t, k, SearchBudget(), on_partition, twins=twins)
     return leaves
 
 
@@ -228,7 +228,7 @@ def test_twin_rule_keeps_one_leaf_per_orbit_in_walk_order():
 
             for t, k in ((3, 3), (3, 4), (4, 3), (3, 5)):
                 full = _leaves(g, t, k)
-                pruned = _leaves(g, t, k, lower)
+                pruned = _leaves(g, t, k, twins=True)
                 assert pruned == [leaf for leaf in full if obeys(leaf, lower)]
                 seen = set()
                 for leaf in full:
@@ -272,7 +272,7 @@ def test_twin_rule_walk_sizes(t, k, n, pruned, full):
     g = build(ConstructionParams(t, k, n))
     report = is_cocritical(g, t, k)
     assert report.nodes == pruned
-    _, nodes, _ = _walk_partitions(g, t, k, SearchBudget(), lambda blocks: False)
+    _, nodes, _, _ = _walk_partitions(g, t, k, SearchBudget(), lambda blocks: False)
     assert nodes == full
 
 
@@ -282,9 +282,9 @@ def test_twin_rule_only_in_cocriticality_walk(monkeypatch):
     # of it
     seen = []
 
-    def recording_walk(*args, lower_twins=None, **kwargs):
-        seen.append(lower_twins)
-        return _walk_partitions(*args, lower_twins=lower_twins, **kwargs)
+    def recording_walk(*args, twins=False, **kwargs):
+        seen.append(twins)
+        return _walk_partitions(*args, twins=twins, **kwargs)
 
     monkeypatch.setattr(search, "_walk_partitions", recording_walk)
     monkeypatch.setattr(verify, "_walk_partitions", recording_walk)
@@ -293,9 +293,9 @@ def test_twin_rule_only_in_cocriticality_walk(monkeypatch):
     exists_critical_coloring(g, 3, 3)
     enumerate_critical_colorings(g, 3, 3)
     max_red_critical_coloring(g, 3, 3)
-    assert seen == [None, None, None]
+    assert seen == [False, False, False]
     is_cocritical(g, 3, 3)
-    assert seen[3] == lower_twins(g)
+    assert seen[3] is True
 
 
 def test_complete_graph_is_never_cocritical():
@@ -343,7 +343,7 @@ def test_budget_runs_out_mid_walk():
     # the cap stops the one walk in between with every non-edge still open
     g = build(ConstructionParams(4, 4, 18))
     assert exists_critical_coloring(g, 4, 4).nodes == 108
-    first = _walk_partitions(g, 4, 4, SearchBudget(), lambda blocks: True, lower_twins=lower_twins(g))
+    first = _walk_partitions(g, 4, 4, SearchBudget(), lambda blocks: True, twins=True)
     assert first[:2] == (FOUND, 66)
     report = is_cocritical(g, 4, 4, SearchBudget(node_cap=500))
     assert report.base_status == FOUND and report.base_witness is not None
@@ -366,7 +366,6 @@ def test_deadline_passes_inside_the_leaf_step(monkeypatch):
 
     monkeypatch.setattr(search.time, "perf_counter", lambda: now[0])
     monkeypatch.setattr(search, "_good_refinements", late)
-    monkeypatch.setattr(verify, "_good_refinements", late)
     g = build(ConstructionParams(4, 3, 13))
     with pytest.raises(IndeterminateResultError):
         max_red_critical_coloring(g, 4, 3)
@@ -421,7 +420,7 @@ def test_fail_fast_reports_the_first_settling_leafs_first_non_edge():
                 continue
             for t, k in ((3, 3), (3, 4), (4, 3), (3, 5)):
                 expected = ()
-                for leaf in _leaves(g, t, k, lower_twins(g)):
+                for leaf in _leaves(g, t, k, twins=True):
                     hits = [e for e in non_edges if settles(g, t, k, leaf, e)]
                     if hits:
                         expected = ((hits[0], STILL_COLORABLE),)
