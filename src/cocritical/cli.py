@@ -10,11 +10,15 @@ stderr, except a usage or input error, which prints only its `error:` line.
 Exit codes are a stable contract: 0 success or determinate-true, 1
 determinate-false, 2 usage or input error, 3 indeterminate (a budget ran
 out before the answer was settled).
+
+The argument parser is built once per process, on the first `main` call,
+and reused by every later call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -31,7 +35,7 @@ from .construction import (
 )
 from .graphs import Graph, complete_graph
 from .graph6 import emit_graph6, parse_graph6, parse_graph6_lines
-from .percolation import PercolationError, check_threshold, run as percolation_run
+from .percolation import PercolationError, check_seeds, check_threshold, run as percolation_run
 from .search import (
     BRUTE_FORCE_EDGE_CAP,
     DEFAULT_NODE_CAP,
@@ -227,8 +231,12 @@ def cmd_percolate(args) -> int:
     t0 = time.perf_counter()
     budget = SearchBudget(args.node_cap, args.time_cap)
     g, source = _load_graph(args)
-    # usage errors come back before the max-red search can run
-    seeds = _parse_seeds(args.seed) if args.seed is not None else None
+    # usage errors, --seed ranges included, come back before the max-red
+    # search can run
+    seeds = None
+    if args.seed is not None:
+        seeds = _parse_seeds(args.seed)
+        check_seeds(seeds, g.n)
     check_threshold(args.q)
     inputs = {**source, "q": args.q, "seed": args.seed}
     if args.construct is not None:
@@ -371,7 +379,17 @@ def cmd_props(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built on the first call and then
+    shared by the whole process.
+
+    Sharing is sound because parsing leaves the parser unchanged:
+    `parse_args` builds a fresh `Namespace` on every call and copies each
+    subparser's defaults, `fn` included, into it. No action here opens a
+    file (`FileType`) or appends to a shared default, so one call's values
+    cannot reach the next.
+    """
     parser = argparse.ArgumentParser(
         prog="cocritical",
         description="Construct, verify, and certify co-critical graphs.",
@@ -427,6 +445,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand and return its exit code. The parser is built
+    on the first call and reused after it (`build_parser`)."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

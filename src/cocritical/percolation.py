@@ -211,6 +211,16 @@ def check_threshold(q: int) -> None:
         raise ValueError("threshold q must be at least 1")
 
 
+def check_seeds(seeds: frozenset[int], n: int) -> None:
+    """Reject an empty seed set or a seed that is not a vertex 0..n-1."""
+    if not seeds:
+        raise ValueError("seeds must be nonempty")
+    for v in sorted(seeds):
+        if not 0 <= v < n:
+            where = f"outside 0..{n - 1}" if n else "given, but the graph has no vertices"
+            raise ValueError(f"seed vertex {v} {where}")
+
+
 def run(
     g: Graph,
     partition: BlockPartition,
@@ -237,11 +247,7 @@ def run(
     if seeds is None:
         seeds = frozenset({default_seed(g)})
     seeds = frozenset(seeds)
-    if not seeds:
-        raise ValueError("seeds must be nonempty")
-    for v in sorted(seeds):
-        if not 0 <= v < g.n:
-            raise ValueError(f"seed vertex {v} outside 0..{g.n - 1}")
+    check_seeds(seeds, g.n)
 
     cap = 2 * q * q
     seed_mask = bitmask(seeds)

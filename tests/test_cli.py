@@ -1,5 +1,6 @@
 """Command line contract: exit codes, JSON report shape, stderr summaries."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -602,6 +603,15 @@ L_GRAPH = ("--graph6", "L~GO?C?~~~f|N{", "--t", "4", "--k", "3", "--node-cap", "
         ((*L_GRAPH, "--q", "0"), "threshold q must be at least 1"),
         ((*L_GRAPH, "--q", "3", "--seed", "1,,2"), "--seed expects"),
         (
+            ("--complete", "5", "--t", "3", "--k", "3", "--q", "2", "--seed", "9"),
+            "seed vertex 9 outside 0..4",
+        ),
+        ((*L_GRAPH, "--q", "3", "--seed", "99"), "seed vertex 99 outside 0..12"),
+        (
+            ("--graph6", "?", "--t", "3", "--k", "3", "--q", "1", "--seed", "0"),
+            "seed vertex 0 given, but the graph has no vertices",
+        ),
+        (
             ("--construct", "4,3,13", "--t", "9", "--k", "9", "--q", "2"),
             "--construct takes its blueprint coloring and cannot be combined with --t/--k",
         ),
@@ -611,6 +621,68 @@ def test_percolate_usage_error_precedes_the_coloring(capsys, argv, message):
     code, out, err = run_cli(capsys, "percolate", *argv)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and message in err
+
+
+def test_parser_is_built_once_per_process(capsys, tmp_path, monkeypatch):
+    corpus = tmp_path / "corpus.g6"
+    corpus.write_text("C~\nDN{\n")
+    run_cli(capsys, "construct", "--t", "4", "--k", "3", "--n", "13")
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for argv in (
+        ["construct", "--t", "4", "--k", "3", "--n", "13"],
+        ["verify", "--complete", "5", "--t", "3", "--k", "3"],
+        ["arrows", "--complete", "5", "--t", "3", "--k", "3"],
+        ["percolate", "--construct", "4,3,13", "--q", "3"],
+        ["minsearch", "--t", "3", "--k", "3", "--n", "4"],
+        ["props", "--corpus", str(corpus)],
+    ):
+        assert run_json(capsys, *argv)[1]["command"] == argv[0]
+    assert built == []
+
+
+def answer(capsys, argv):
+    """Exit code, stderr and the JSON report of one main call, with the
+    report's timings and the walk's millis removed."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejected the option
+        code = exc.code
+    out, err = capsys.readouterr()
+    doc = json.loads(out) if out else None
+    if doc is not None:
+        del doc["timings"]
+        doc["results"].pop("millis", None)
+    return code, err, doc
+
+
+def test_answers_do_not_depend_on_call_order(capsys):
+    percolate = ["percolate", "--construct", "4,3,13", "--q", "3"]
+    verify = ["verify", "--construct", "4,3,13", "--t", "4", "--k", "3"]
+    argvs = [
+        verify + ["--checks"],
+        verify,
+        percolate + ["--seed", "0"],
+        percolate,
+        ["verify", "--complete", "5", "--t", "x", "--k", "3"],
+        ["verify", "--construct", "4,3", "--t", "4", "--k", "3"],
+        ["minsearch", "--t", "3", "--k", "3", "--n", "5"],
+    ]
+    forwards = [answer(capsys, argv) for argv in argvs]
+    backwards = [answer(capsys, argv) for argv in reversed(argvs)][::-1]
+    assert forwards == backwards
+    codes = [code for code, _, _ in forwards]
+    assert codes == [0, 0, 0, 0, 2, 2, 0]
+    assert "structure" in forwards[0][2]["results"] and "structure" not in forwards[1][2]["results"]
+    assert forwards[2][2]["inputs"]["seed"] == "0" and forwards[3][2]["inputs"]["seed"] is None
+    assert forwards[4][1].startswith("usage: cocritical verify") and forwards[4][2] is None
+    assert forwards[5][1].startswith("error: --construct expects") and forwards[5][2] is None
 
 
 def test_entry_point_subprocess():

@@ -108,6 +108,16 @@ def test_construct_option(capsys, text):
 @given(SEED)
 def test_seed_option(capsys, text):
     exit_code(capsys, ["percolate", "--construct", "4,3,13", "--q", "3", f"--seed={text}"])
+    # K_5 has no good (3,3) coloring, so a seed that reached the max-red
+    # search would end with exit 1, which the generic contract allows
+    argv = ["percolate", "--complete", "5", "--t", "3", "--k", "3", "--q", "2"]
+    code = exit_code(capsys, [*argv, f"--seed={text}"])
+    try:
+        seeds = [int(p) for p in text.split(",")]
+    except ValueError:
+        return
+    if any(not 0 <= v <= 4 for v in seeds):
+        assert code == 2, text
 
 
 @FUZZ
