@@ -603,6 +603,10 @@ L_GRAPH = ("--graph6", "L~GO?C?~~~f|N{", "--t", "4", "--k", "3", "--node-cap", "
         ((*L_GRAPH, "--q", "0"), "threshold q must be at least 1"),
         ((*L_GRAPH, "--q", "3", "--seed", "1,,2"), "--seed expects"),
         (
+            ("--construct", "4,3,13", "--t", "9", "--k", "9", "--q", "2"),
+            "--construct takes its blueprint coloring and cannot be combined with --t/--k",
+        ),
+        (
             ("--complete", "5", "--t", "3", "--k", "3", "--q", "2", "--seed", "9"),
             "seed vertex 9 outside 0..4",
         ),
@@ -610,10 +614,6 @@ L_GRAPH = ("--graph6", "L~GO?C?~~~f|N{", "--t", "4", "--k", "3", "--node-cap", "
         (
             ("--graph6", "?", "--t", "3", "--k", "3", "--q", "1", "--seed", "0"),
             "seed vertex 0 given, but the graph has no vertices",
-        ),
-        (
-            ("--construct", "4,3,13", "--t", "9", "--k", "9", "--q", "2"),
-            "--construct takes its blueprint coloring and cannot be combined with --t/--k",
         ),
     ],
 )
