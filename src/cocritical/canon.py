@@ -30,12 +30,17 @@ generation", J. Algorithms 1998, restricts the last vertex in the same way),
 and only by one neighborhood per orbit of the parent's automorphism group.
 Every other attachment is skipped before it is labeled.  The last level is
 labeled one edge count at a time, so a caller that stops early stops the
-labeling too; ``iter_classes`` gives the soundness arguments.
+labeling too.  Each order is generated at most once per process: the full
+levels and the last level's labeled edge-count buckets are memoized, so a
+later caller at an order already reached labels nothing, and orders share
+the levels below them.  ``iter_classes`` gives the soundness arguments,
+the memo's included.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
+from functools import cache
 
 from .graphs import Graph
 
@@ -43,6 +48,7 @@ CANONICAL_ORDER_CAP = 10
 GENERATION_ORDER_CAP = 8
 
 Perm = tuple[int, ...]
+Rows = tuple[int, ...]
 
 
 def _label(n: int, rows: Sequence[int], autos: bool = False) -> tuple[tuple[int, ...], list[Perm]]:
@@ -123,7 +129,7 @@ def canonical_key(g: Graph) -> tuple[int, ...]:
     return _label(g.n, g.adj)[0]
 
 
-def _attachments(m: int, rows: tuple[int, ...], perms: list[Perm]) -> list[int]:
+def _attachments(m: int, rows: Rows, perms: Sequence[Perm]) -> list[int]:
     """One neighborhood per Aut-orbit among those in which a new vertex
     joined to ``rows`` has minimum degree: the smallest mask of each orbit."""
     degrees = [row.bit_count() for row in rows]
@@ -153,17 +159,47 @@ def _attach(m: int, rows: tuple[int, ...], nbhd: int) -> list[int]:
     return [row | (nbhd >> v & 1) << m for v, row in enumerate(rows)] + [nbhd]
 
 
+@cache
+def _level(m: int) -> tuple[tuple[Rows, tuple[Perm, ...]], ...]:
+    """Every class on m >= 1 vertices as (canonical rows, automorphisms),
+    built from ``_level(m - 1)``; see ``iter_classes``."""
+    if m == 1:
+        return (((0,), ((0,),)),)
+    seen: dict[Rows, tuple[Perm, ...]] = {}
+    for rows, perms in _level(m - 1):
+        for nbhd in _attachments(m - 1, rows, perms):
+            key, autos = _label(m, _attach(m - 1, rows, nbhd), autos=True)
+            seen.setdefault(key, tuple(autos))
+    return tuple(seen.items())
+
+
+@cache
+def _last_level(
+    n: int,
+) -> tuple[tuple[tuple[tuple[Rows, int], ...], ...], dict[int, tuple[Graph, ...]]]:
+    """The unlabeled children (parent rows, neighborhood) of ``_level(n - 1)``
+    grouped by edge count, and the labeled buckets stored so far: edge count
+    -> that count's classes.  ``iter_classes`` fills the buckets."""
+    m = n - 1
+    by_edges: list[list[tuple[Rows, int]]] = [[] for _ in range(n * m // 2 + 1)]
+    for rows, perms in _level(m):
+        edges = sum(row.bit_count() for row in rows) // 2
+        for nbhd in _attachments(m, rows, perms):
+            by_edges[edges + nbhd.bit_count()].append((rows, nbhd))
+    return tuple(map(tuple, by_edges)), {}
+
+
 def iter_classes(n: int) -> Iterator[Graph]:
     """Every graph on exactly n vertices, one per isomorphism class, as
     canonical representatives in order of edge count, then adjacency rows.
 
-    Levels 1..n-1 are built in full, each class with its automorphisms.  A
-    class g on m vertices is extended by one neighborhood S per Aut(g)-orbit
-    among those in which the new vertex has minimum degree, that is
-    deg_g(u) + [u in S] >= |S| for every old vertex u, and the children are
-    deduplicated by canonical rows.  Level n is labeled lazily: for each
-    edge count e in turn, only the children with e(g) + |S| = e are labeled,
-    deduplicated and yielded.
+    Levels 1..n-1 are built in full by ``_level``, each class with its
+    automorphisms.  A class g on m vertices is extended by one neighborhood
+    S per Aut(g)-orbit among those in which the new vertex has minimum
+    degree, that is deg_g(u) + [u in S] >= |S| for every old vertex u, and
+    the children are deduplicated by canonical rows.  Level n is labeled
+    lazily: for each edge count e in turn, only the children with
+    e(g) + |S| = e are labeled, deduplicated and yielded.
 
     Soundness, minimum degree: every graph H on m+1 vertices has a vertex v
     of minimum degree.  H - v is isomorphic to a listed class g, by some map
@@ -179,6 +215,16 @@ def iter_classes(n: int) -> Iterator[Graph]:
     graphs have equal edge counts, so every copy of a class falls in the
     same edge count; deduplicating within it loses nothing and yields each
     class once.
+
+    Soundness, memo: generation is a pure function of n, so ``_level`` and
+    ``_last_level`` keep their results for the life of the process, and
+    each edge count's bucket is labeled once, by the first generator to
+    reach it.  The stored values are tuples and frozen ``Graph``s, which no
+    caller can change.  A bucket is stored only once it is complete, and
+    none of it is yielded before then, so a generator abandoned early, or an
+    exception while labeling, leaves only complete buckets behind.  Hence
+    every generator yields the same sequence, cold or warm, and a warm one
+    labels nothing.
     """
     if not 1 <= n <= GENERATION_ORDER_CAP:
         raise ValueError(f"exhaustive generation guarded to 1 <= n <= {GENERATION_ORDER_CAP}")
@@ -187,24 +233,13 @@ def iter_classes(n: int) -> Iterator[Graph]:
         if n == 1:
             yield Graph(1, (0,))
             return
-        level: list[tuple[tuple[int, ...], list[Perm]]] = [((0,), [(0,)])]
-        for m in range(1, n - 1):
-            seen: dict[tuple[int, ...], list[Perm]] = {}
-            for rows, perms in level:
-                for nbhd in _attachments(m, rows, perms):
-                    key, autos = _label(m + 1, _attach(m, rows, nbhd), autos=True)
-                    seen.setdefault(key, autos)
-            level = list(seen.items())
-        m = n - 1
-        by_edges: list[list[tuple[tuple[int, ...], int]]] = [[] for _ in range(n * m // 2 + 1)]
-        for rows, perms in level:
-            edges = sum(row.bit_count() for row in rows) // 2
-            for nbhd in _attachments(m, rows, perms):
-                by_edges[edges + nbhd.bit_count()].append((rows, nbhd))
-        for children in by_edges:
-            keys = {_label(n, _attach(m, rows, nbhd))[0] for rows, nbhd in children}
-            for key in sorted(keys):
-                yield Graph(n, key)
+        children, buckets = _last_level(n)
+        for edges, group in enumerate(children):
+            bucket = buckets.get(edges)
+            if bucket is None:
+                keys = {_label(n, _attach(n - 1, rows, nbhd))[0] for rows, nbhd in group}
+                bucket = buckets[edges] = tuple(Graph(n, key) for key in sorted(keys))
+            yield from bucket
 
     return generate()
 

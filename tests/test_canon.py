@@ -8,6 +8,7 @@ from test_graphs import relabel
 
 from cocritical import canon, verify
 from cocritical.canon import (
+    GENERATION_ORDER_CAP,
     _label,
     canonical_key,
     nonisomorphic_graphs,
@@ -35,6 +36,37 @@ LISTING_SHA256 = [
     "98da539f83e7cec4",
     "0aba146daa3874d2",
 ]
+
+
+def _clear_generation_memo():
+    canon._level.cache_clear()
+    canon._last_level.cache_clear()
+
+
+@pytest.fixture
+def cold_generation():
+    """Clear the generation memo before and after the test, so its label
+    counts measure cold work and a patched labeler leaves nothing behind."""
+    _clear_generation_memo()
+    yield
+    _clear_generation_memo()
+
+
+def _recording_label(monkeypatch):
+    """Patch canon._label to record every graph it labels; return the list."""
+    labeled = []
+
+    def recording_label(n, rows, autos=False):
+        labeled.append(Graph(n, tuple(rows)))
+        return _label(n, rows, autos)
+
+    monkeypatch.setattr(canon, "_label", recording_label)
+    return labeled
+
+
+def _listing_digest(graphs):
+    listing = "".join(emit_graph6(g) + "\n" for g in graphs)
+    return hashlib.sha256(listing.encode()).hexdigest()[:16]
 
 
 def rand_graph(rng, n, p=0.5):
@@ -93,8 +125,7 @@ def test_class_counts():
         # every listed graph is its own canonical form, no duplicates
         assert len({g.adj for g in got}) == want
         assert all(canonical_key(g) == g.adj for g in got)
-        listing = "".join(emit_graph6(g) + "\n" for g in got)
-        assert hashlib.sha256(listing.encode()).hexdigest()[:16] == digest, n
+        assert _listing_digest(got) == digest, n
 
 
 def test_generation_covers_all_graphs():
@@ -133,23 +164,87 @@ def test_generation_matches_all_attachments_reference():
         assert got == [g.adj for g in _all_attachments_reference(n)], n
 
 
-def test_generation_labels_only_minimum_degree_children(monkeypatch):
-    labeled = []
-
-    def recording_label(n, rows, autos=False):
-        labeled.append(Graph(n, tuple(rows)))
-        return _label(n, rows, autos)
-
-    monkeypatch.setattr(canon, "_label", recording_label)
+def test_generation_labels_only_minimum_degree_children(monkeypatch, cold_generation):
+    labeled = _recording_label(monkeypatch)
     assert len(nonisomorphic_graphs(7)) == 1044
     assert all(h.degree(h.n - 1) == h.min_degree() for h in labeled)
     # one attachment per Aut-orbit: 3,131 children without orbit pruning
     assert len(labeled) == 1639
-    # the lazy last level: the search stops labeling after the first edge
-    # count past its minimum
+    # the lazy last level: from a cold memo the search stops labeling after
+    # the first edge count past its minimum
+    _clear_generation_memo()
     labeled.clear()
     assert verify.min_cocritical_search(3, 3, 7).minimum_edges == 12
     assert len(labeled) == 1461
+
+
+def _search_answers(t, k, n):
+    r = verify.min_cocritical_search(t, k, n)
+    return r.minimum_edges, [emit_graph6(w) for w in r.witnesses], r.examined, r.refuted, r.complete
+
+
+def test_warm_generation_equals_cold(cold_generation):
+    # the search stops in the middle of the last level, leaving the memo
+    # partly filled; the full listing must not notice
+    assert verify.min_cocritical_search(3, 3, 7).minimum_edges == 12
+    got = nonisomorphic_graphs(7)
+    assert _listing_digest(got) == LISTING_SHA256[6]
+    assert [g.adj for g in got] == [g.adj for g in _all_attachments_reference(7)]
+
+
+def test_interleaved_generators_agree_when_one_is_abandoned(cold_generation):
+    want = _all_attachments_reference(7)
+    # step two generators in turn; stop the first on the second class of the
+    # 9-edge bucket, in the middle of that bucket
+    stop = [g.edge_count() for g in want].index(9) + 2
+    first, second = canon.iter_classes(7), canon.iter_classes(7)
+    got_first, got_second = [], []
+    for _ in range(stop):
+        got_first.append(next(first))
+        got_second.append(next(second))
+    first.close()
+    got_second += second
+    assert got_first == want[:stop]
+    assert got_second == want
+    assert list(canon.iter_classes(7)) == want
+
+
+def test_warm_generation_labels_nothing(monkeypatch, cold_generation):
+    questions = [(3, 3, 7), (3, 4, 7), (4, 3, 7), (3, 5, 7)]
+    cold = []
+    for q in questions:
+        _clear_generation_memo()
+        cold.append(_search_answers(*q))
+    want = [g.adj for g in nonisomorphic_graphs(7)]
+    labeled = _recording_label(monkeypatch)
+    assert [g.adj for g in nonisomorphic_graphs(7)] == want
+    assert [_search_answers(*q) for q in questions] == cold
+    assert labeled == []
+
+
+def test_returned_list_is_the_callers_own():
+    got = nonisomorphic_graphs(5)
+    want = list(got)
+    got.clear()
+    assert nonisomorphic_graphs(5) == want
+    again = nonisomorphic_graphs(5)
+    again.reverse()
+    assert nonisomorphic_graphs(5) == want
+
+
+def test_memo_holds_one_entry_per_class(cold_generation):
+    for _ in range(2):
+        for n in range(1, GENERATION_ORDER_CAP + 1):
+            assert len(nonisomorphic_graphs(n)) == CLASS_COUNTS[n - 1]
+        # one full level per order below the cap, one last level per order
+        # from 2 up (order 1 needs neither)
+        assert canon._level.cache_info().currsize == GENERATION_ORDER_CAP - 1
+        assert canon._last_level.cache_info().currsize == GENERATION_ORDER_CAP - 1
+        for m in range(1, GENERATION_ORDER_CAP):
+            assert len(canon._level(m)) == CLASS_COUNTS[m - 1]
+        for n in range(2, GENERATION_ORDER_CAP + 1):
+            buckets = canon._last_level(n)[1]
+            assert sum(map(len, buckets.values())) == CLASS_COUNTS[n - 1]
 
 
 def test_label_returns_exactly_the_automorphisms():

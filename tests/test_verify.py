@@ -2,7 +2,6 @@
 exhaustive minimum search."""
 
 import math
-from functools import lru_cache
 from itertools import combinations
 
 import pytest
@@ -569,11 +568,6 @@ def test_min_search_checks_parameters_before_generating(monkeypatch):
 # --- the refuting non-edge lemma of min_cocritical_search -------------------
 
 
-@lru_cache(maxsize=None)
-def _classes(n):
-    return tuple(nonisomorphic_graphs(n))
-
-
 def refuting_by_combinations(g, t):
     """The first non-edge whose common neighbourhood holds no t-2 pairwise
     adjacent vertices, found by trying every (t-2)-subset of it."""
@@ -590,7 +584,7 @@ def refuting_by_combinations(g, t):
 def test_refuting_non_edge_matches_the_combinations_oracle():
     fired = 0
     for n in range(1, 8):
-        for g in _classes(n):
+        for g in nonisomorphic_graphs(n):
             for t in (2, 3, 4, 5):
                 edge = _refuting_non_edge(g, t)
                 assert edge == refuting_by_combinations(g, t), (emit_graph6(g), t)
@@ -603,7 +597,7 @@ def test_refuted_classes_are_not_cocritical():
     # every class on up to 7 vertices that the lemma refutes gets a full walk
     refuted = 0
     for n in range(2, 8):
-        for g in _classes(n):
+        for g in nonisomorphic_graphs(n):
             for t, k in ((3, 3), (3, 4), (4, 3), (3, 5)):
                 if _refuting_non_edge(g, t) is not None:
                     refuted += 1
@@ -616,7 +610,7 @@ def test_refuted_classes_are_not_cocritical_by_brute_force():
     # so does g+uv for the refuting uv; hence g is never co-critical
     refuted = 0
     for n in range(2, 7):
-        for g in _classes(n):
+        for g in nonisomorphic_graphs(n):
             for t, k in ((3, 3), (3, 4), (4, 3), (3, 5)):
                 edge = _refuting_non_edge(g, t)
                 if edge is None:
@@ -634,7 +628,7 @@ def test_refuted_classes_are_not_cocritical_by_brute_force():
 def scan_without_lemma(t, k, n):
     """min_cocritical_search's scan with a fail-fast walk on every class."""
     minimum, witnesses, examined, indeterminate = None, [], 0, []
-    for g in _classes(n):
+    for g in nonisomorphic_graphs(n):
         e = g.edge_count()
         if minimum is not None and e > minimum:
             break
@@ -653,8 +647,7 @@ def scan_without_lemma(t, k, n):
 @pytest.mark.parametrize(
     "t, k, n", [(3, 3, 4), (3, 3, 5), (3, 3, 6), (3, 3, 7), (3, 4, 7), (4, 3, 7), (3, 5, 7)]
 )
-def test_min_search_matches_the_scan_without_lemma(t, k, n, monkeypatch):
-    monkeypatch.setattr(verify, "iter_classes", lambda order: iter(_classes(order)))
+def test_min_search_matches_the_scan_without_lemma(t, k, n):
     r = min_cocritical_search(t, k, n)
     got = (r.minimum_edges, [emit_graph6(w) for w in r.witnesses], r.examined, r.complete)
     assert got == scan_without_lemma(t, k, n)
