@@ -31,10 +31,12 @@ and only by one neighborhood per orbit of the parent's automorphism group.
 Every other attachment is skipped before it is labeled.  The last level is
 labeled one edge count at a time, so a caller that stops early stops the
 labeling too.  Each order is generated at most once per process: the full
-levels and the last level's labeled edge-count buckets are memoized, so a
-later caller at an order already reached labels nothing, and orders share
-the levels below them.  ``iter_classes`` gives the soundness arguments,
-the memo's included.
+levels, the last level's unlabeled children and its labeled edge-count
+buckets are memoized, so a later caller at an order already reached labels
+nothing, and orders share the levels below them.  That helps only a process
+that asks for some order more than once, or for several orders; a single
+question does the same cold work as without the memo.  ``iter_classes``
+gives the soundness arguments, the memo's included.
 """
 
 from __future__ import annotations
@@ -174,19 +176,24 @@ def _level(m: int) -> tuple[tuple[Rows, tuple[Perm, ...]], ...]:
 
 
 @cache
-def _last_level(
-    n: int,
-) -> tuple[tuple[tuple[tuple[Rows, int], ...], ...], dict[int, tuple[Graph, ...]]]:
-    """The unlabeled children (parent rows, neighborhood) of ``_level(n - 1)``
-    grouped by edge count, and the labeled buckets stored so far: edge count
-    -> that count's classes.  ``iter_classes`` fills the buckets."""
+def _children(n: int) -> tuple[tuple[tuple[Rows, int], ...], ...]:
+    """The unlabeled children (parent rows, neighborhood) of ``_level(n - 1)``,
+    grouped by edge count; see ``iter_classes``."""
     m = n - 1
     by_edges: list[list[tuple[Rows, int]]] = [[] for _ in range(n * m // 2 + 1)]
     for rows, perms in _level(m):
         edges = sum(row.bit_count() for row in rows) // 2
         for nbhd in _attachments(m, rows, perms):
             by_edges[edges + nbhd.bit_count()].append((rows, nbhd))
-    return tuple(map(tuple, by_edges)), {}
+    return tuple(map(tuple, by_edges))
+
+
+@cache
+def _bucket(n: int, edges: int) -> tuple[Graph, ...]:
+    """The classes on n vertices with ``edges`` edges, sorted by rows: the
+    children of that edge count, labeled and deduplicated."""
+    keys = {_label(n, _attach(n - 1, rows, nbhd))[0] for rows, nbhd in _children(n)[edges]}
+    return tuple(Graph(n, key) for key in sorted(keys))
 
 
 def iter_classes(n: int) -> Iterator[Graph]:
@@ -216,15 +223,15 @@ def iter_classes(n: int) -> Iterator[Graph]:
     same edge count; deduplicating within it loses nothing and yields each
     class once.
 
-    Soundness, memo: generation is a pure function of n, so ``_level`` and
-    ``_last_level`` keep their results for the life of the process, and
-    each edge count's bucket is labeled once, by the first generator to
-    reach it.  The stored values are tuples and frozen ``Graph``s, which no
-    caller can change.  A bucket is stored only once it is complete, and
-    none of it is yielded before then, so a generator abandoned early, or an
-    exception while labeling, leaves only complete buckets behind.  Hence
-    every generator yields the same sequence, cold or warm, and a warm one
-    labels nothing.
+    Soundness, memo: generation is a pure function of n, so ``_level``,
+    ``_children`` and ``_bucket`` keep their results for the life of the
+    process.  The stored values are tuples and frozen ``Graph``s, which no
+    caller can change.  ``functools.cache`` stores a result only when the
+    call returns, so a bucket is stored only once it is labeled in full,
+    and an exception while labeling stores nothing; a generator yields
+    nothing of a bucket before that, so one abandoned early leaves only
+    complete buckets behind.  Hence every generator yields the same
+    sequence, cold or warm, and a warm one labels nothing.
     """
     if not 1 <= n <= GENERATION_ORDER_CAP:
         raise ValueError(f"exhaustive generation guarded to 1 <= n <= {GENERATION_ORDER_CAP}")
@@ -233,13 +240,8 @@ def iter_classes(n: int) -> Iterator[Graph]:
         if n == 1:
             yield Graph(1, (0,))
             return
-        children, buckets = _last_level(n)
-        for edges, group in enumerate(children):
-            bucket = buckets.get(edges)
-            if bucket is None:
-                keys = {_label(n, _attach(n - 1, rows, nbhd))[0] for rows, nbhd in group}
-                bucket = buckets[edges] = tuple(Graph(n, key) for key in sorted(keys))
-            yield from bucket
+        for edges in range(len(_children(n))):
+            yield from _bucket(n, edges)
 
     return generate()
 

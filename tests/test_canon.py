@@ -40,7 +40,8 @@ LISTING_SHA256 = [
 
 def _clear_generation_memo():
     canon._level.cache_clear()
-    canon._last_level.cache_clear()
+    canon._children.cache_clear()
+    canon._bucket.cache_clear()
 
 
 @pytest.fixture
@@ -232,19 +233,23 @@ def test_returned_list_is_the_callers_own():
     assert nonisomorphic_graphs(5) == want
 
 
-def test_memo_holds_one_entry_per_class(cold_generation):
+def test_memo_is_bounded_by_the_class_counts(cold_generation):
+    last_levels = range(2, GENERATION_ORDER_CAP + 1)
     for _ in range(2):
         for n in range(1, GENERATION_ORDER_CAP + 1):
             assert len(nonisomorphic_graphs(n)) == CLASS_COUNTS[n - 1]
-        # one full level per order below the cap, one last level per order
-        # from 2 up (order 1 needs neither)
+        # a full level per order below the cap, the grouped children per
+        # order from 2 up, and a bucket per such order and edge count; the
+        # second round adds nothing
         assert canon._level.cache_info().currsize == GENERATION_ORDER_CAP - 1
-        assert canon._last_level.cache_info().currsize == GENERATION_ORDER_CAP - 1
+        assert canon._children.cache_info().currsize == len(last_levels)
+        buckets = sum(n * (n - 1) // 2 + 1 for n in last_levels)
+        assert canon._bucket.cache_info().currsize == buckets
         for m in range(1, GENERATION_ORDER_CAP):
             assert len(canon._level(m)) == CLASS_COUNTS[m - 1]
-        for n in range(2, GENERATION_ORDER_CAP + 1):
-            buckets = canon._last_level(n)[1]
-            assert sum(map(len, buckets.values())) == CLASS_COUNTS[n - 1]
+        for n in last_levels:
+            classes = sum(len(canon._bucket(n, e)) for e in range(n * (n - 1) // 2 + 1))
+            assert classes == CLASS_COUNTS[n - 1]
 
 
 def test_label_returns_exactly_the_automorphisms():
