@@ -47,6 +47,6 @@ print(f"edges: {g.edge_count()}  (upper bound {bound}, expected {expected_edge_c
 c = blueprint_coloring(params)
 blocks = blue_blocks(c)
 h = cross_graph(g, blocks)
-print(f"blue blocks: {sorted(sorted(b) for b in blocks.blocks)}")
+print(f"blue blocks: {blocks.to_json()}")
 print(f"cross graph: {h.edge_count()} edges, min degree {min(h.degree(v) for v in range(h.n))}")
 print(f"graph6: {emit_graph6(g)}")

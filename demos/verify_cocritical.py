@@ -30,7 +30,7 @@ elapsed = time.perf_counter() - t0
 
 print(f"verdict: {rep.verdict()}  ({elapsed:.2f}s)")
 print(f"base search: {rep.base_status}, witness blocks "
-      f"{sorted(sorted(b) for b in rep.base_witness.blocks) if rep.base_witness else None}")
+      f"{rep.base_witness.to_json() if rep.base_witness else None}")
 print(f"non-edges: {rep.non_edge_count}, walk nodes {rep.nodes}")
 if rep.failures:
     print(f"failures: {rep.failures}")

@@ -143,8 +143,8 @@ def _add_budget(sub: argparse.ArgumentParser) -> None:
 def cmd_construct(args) -> int:
     t0 = time.perf_counter()
     params = ConstructionParams(args.t, args.k, args.n)
-    g = build(params)
     sigma = blueprint_coloring(params)
+    g = sigma.base
     built_ms = (time.perf_counter() - t0) * 1000
     results = {
         "graph6": emit_graph6(g),
@@ -214,7 +214,7 @@ def cmd_arrows(args) -> int:
         answer = outcome.status == EXHAUSTED
         results = {
             "arrows": answer,
-            "witness_blocks": None if answer else [sorted(b) for b in outcome.witness.blocks],
+            "witness_blocks": None if answer else outcome.witness.to_json(),
             "nodes": outcome.nodes,
             "status": outcome.status,
         }
@@ -272,7 +272,7 @@ def cmd_percolate(args) -> int:
     if cert is not None:
         results = cert.to_json()
         results["cross_graph6"] = emit_graph6(H)
-        results["blocks"] = [sorted(b) for b in blocks.blocks]
+        results["blocks"] = blocks.to_json()
         summary = (
             f"certified={cert.certified}: e(H)={cert.edges_total} >= "
             f"{cert.q}*(n-|seeds|)={cert.edge_lower_bound} after {cert.iterations} iterations"

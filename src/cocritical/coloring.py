@@ -9,13 +9,16 @@ vertices needs a component that large, so no subtree search is ever required.
 Block partitions are the search-side view of the same object: grouping the
 vertices into connected blocks and coloring exactly the within-block edges
 blue turns a partition into a coloring, and the blue components of a good
-coloring recover such a partition.
+coloring recover such a partition.  A partition holds its blocks as vertex
+bitmasks, the format the partition walk works in, and block_rows owns the
+split of a graph's rows into block and cross rows: the walk's leaf steps,
+cross_graph, partition_to_coloring and the structure checks all read it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .graphs import Graph, bitmask, components, has_clique, iter_bits, make_graph
 
@@ -77,82 +80,71 @@ def is_critical(c: EdgeColoring, t: int, k: int) -> bool:
 
 @dataclass(frozen=True)
 class BlockPartition:
-    """Disjoint vertex blocks, ordered by smallest member, sizes <= max_block."""
+    """Disjoint nonempty vertex blocks as bitmasks, ordered by lowest vertex."""
 
-    blocks: tuple[frozenset[int], ...]
-    max_block: int
+    blocks: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        seen: set[int] = set()
+        seen = 0
         for b in self.blocks:
             if not b:
                 raise ValueError("empty block")
-            if len(b) > self.max_block:
-                raise ValueError(f"block of size {len(b)} exceeds bound {self.max_block}")
             if seen & b:
                 raise ValueError("blocks overlap")
             seen |= b
-        mins = [min(b) for b in self.blocks]
-        if mins != sorted(mins):
+        lows = [b & -b for b in self.blocks]
+        if lows != sorted(lows):
             raise ValueError("blocks not ordered by smallest member")
 
-    def vertices(self) -> frozenset[int]:
-        out: set[int] = set()
-        for b in self.blocks:
-            out |= b
-        return frozenset(out)
-
     def size_multiset(self) -> tuple[int, ...]:
-        return tuple(sorted(len(b) for b in self.blocks))
+        return tuple(sorted(b.bit_count() for b in self.blocks))
+
+    def to_json(self) -> list[list[int]]:
+        """Each block as its ascending vertex list."""
+        return [list(iter_bits(b)) for b in self.blocks]
 
 
-def make_partition(blocks: Iterable[Iterable[int]], max_block: int | None = None) -> BlockPartition:
-    """Normalize block order; max_block defaults to the largest block size."""
-    frozen = [frozenset(b) for b in blocks]
-    frozen.sort(key=lambda b: min(b) if b else -1)
-    if max_block is None:
-        max_block = max((len(b) for b in frozen), default=1)
-    return BlockPartition(tuple(frozen), max_block)
+def make_partition(blocks: Iterable[Iterable[int]]) -> BlockPartition:
+    """Partition from vertex iterables, ordered by smallest member."""
+    return BlockPartition(tuple(sorted(map(bitmask, blocks), key=lambda b: b & -b)))
+
+
+def block_rows(adj: Sequence[int], blocks: Iterable[int]) -> tuple[list[int], list[int]]:
+    """Per vertex, the mask of its block (0 when no block holds it) and its
+    row of the cross graph: its neighbours in other blocks, for the graph
+    with adjacency rows adj."""
+    block_of = [0] * len(adj)
+    for m in blocks:
+        for v in iter_bits(m):
+            block_of[v] = m
+    return block_of, [row & ~block_of[v] for v, row in enumerate(adj)]
+
+
+def within_edges(adj: Sequence[int], block_of: Sequence[int]) -> list[Edge]:
+    """The edges (u, v), u < v, that lie inside a block, in ascending order."""
+    return [(u, v) for u, row in enumerate(adj) for v in iter_bits(row & block_of[u] >> (u + 1) << (u + 1))]
 
 
 def _check_cover(g: Graph, p: BlockPartition) -> None:
-    covered = p.vertices()
-    expected = frozenset(range(g.n))
-    if covered != expected:
-        missing = sorted(expected - covered)
-        extra = sorted(covered - expected)
+    covered = sum(p.blocks)  # the blocks are disjoint
+    if covered != g.vertex_mask:
+        missing = list(iter_bits(g.vertex_mask & ~covered))
+        extra = list(iter_bits(covered & ~g.vertex_mask))
         raise ValueError(f"partition does not match vertex set (missing {missing}, extra {extra})")
 
 
 def partition_to_coloring(g: Graph, p: BlockPartition) -> EdgeColoring:
     """Within-block edges blue, cross edges red."""
     _check_cover(g, p)
-    blue = []
-    for b in p.blocks:
-        mask = bitmask(b)
-        for v in b:
-            row = g.adj[v] & mask
-            blue.extend((v, u) for u in _bits_above(row, v))
-    return make_coloring(g, blue)
-
-
-def _bits_above(mask: int, v: int) -> Iterable[int]:
-    return iter_bits(mask >> (v + 1) << (v + 1))
+    return make_coloring(g, within_edges(g.adj, block_rows(g.adj, p.blocks)[0]))
 
 
 def cross_graph(g: Graph, p: BlockPartition) -> Graph:
     """g with every within-block edge removed; only block-crossing edges remain."""
     _check_cover(g, p)
-    rows = list(g.adj)
-    for b in p.blocks:
-        mask = bitmask(b)
-        for v in b:
-            rows[v] &= ~mask
-    return Graph(g.n, tuple(rows))
+    return Graph(g.n, tuple(block_rows(g.adj, p.blocks)[1]))
 
 
 def blue_blocks(c: EdgeColoring) -> BlockPartition:
     """Blue components of a coloring as a partition (isolated vertices included)."""
-    comps = components(c.blue_graph())
-    return make_partition(comps)
-
+    return make_partition(components(c.blue_graph()))

@@ -131,7 +131,15 @@ def _repair(g: Graph, partition: BlockPartition, q: int, iteration: int,
     """One augmentation round: group bad vertices by their seed-neighborhood
     trace, add one booster per trace plus its bad block classmates and its
     old-closure neighborhood.  Returns the grown seed mask and the round's
-    trail detail."""
+    trail detail.
+
+    The seed set may grow by at most B + q - 1 per trace, with B the size
+    of the largest block, and a larger growth raises.  A trace adds its
+    booster, the bad classmates that share the booster's block (at most
+    B - 1 of them besides the booster), and the booster's closure
+    neighbours.  The booster is exterior, so fewer than q of its neighbours
+    lie in the closure, or it would have activated: at most q - 1 of them.
+    """
     adj = g.adj
     traces: dict[int, int] = {}  # trace mask -> smallest bad representative
     for v in iter_bits(bad):
@@ -150,7 +158,7 @@ def _repair(g: Graph, partition: BlockPartition, q: int, iteration: int,
         if not ext_nbrs:
             raise PercolationError(f"bad vertex {rep} has no exterior neighbor")
         booster = (ext_nbrs & -ext_nbrs).bit_length() - 1
-        block = next(bitmask(b) for b in partition.blocks if booster in b)
+        block = next(b for b in partition.blocks if b >> booster & 1)
         classmates = [v for v in iter_bits(bad & block) if adj[v] & seed_mask == trace_mask]
         closure_nbrs = adj[booster] & closure_mask
         added |= 1 << booster | bitmask(classmates) | closure_nbrs
@@ -162,7 +170,7 @@ def _repair(g: Graph, partition: BlockPartition, q: int, iteration: int,
         }
 
     grown = seed_mask | added
-    allowance = (partition.max_block + q - 1) * len(traces)
+    allowance = (max(b.bit_count() for b in partition.blocks) + q - 1) * len(traces)
     if grown.bit_count() > seed_count + allowance:
         raise PercolationError(
             f"seed growth {grown.bit_count() - seed_count} exceeds allowance {allowance}"

@@ -42,7 +42,7 @@ once the caller's time cap runs out.  One leaf step, _max_red_step, takes
 its first item per leaf for max_red_critical_coloring and for the fold in
 verify.is_cocritical; enumerate_critical_colorings takes every item.
 _good_refinements and the co-criticality leaf step read a leaf's block and
-cross rows from _leaf_rows.
+cross rows from coloring.block_rows.
 
 Budgets cap tree nodes and wall time; outcomes say whether the space was
 exhausted or the budget ran out, and an `arrows` query that dies on budget
@@ -63,10 +63,11 @@ from itertools import combinations
 from .coloring import (
     BlockPartition,
     EdgeColoring,
+    block_rows,
     check_parameters,
     is_critical,
     make_coloring,
-    make_partition,
+    within_edges,
 )
 from .graphs import (
     Graph,
@@ -354,7 +355,7 @@ def _walk_partitions(g: Graph, t: int, k: int, budget: SearchBudget, on_partitio
     if first is None:
         return status, nodes, millis, None
     _assert_witness(adj, t, k, first)
-    return status, nodes, millis, make_partition(map(iter_bits, first), limit)
+    return status, nodes, millis, BlockPartition(tuple(first))
 
 
 def _assert_witness(rows: Sequence[int], t: int, k: int, blocks: Sequence[int]) -> None:
@@ -409,17 +410,6 @@ def arrows(g: Graph, t: int, k: int, budget: SearchBudget = SearchBudget()) -> b
 # --- refinements of a partition into explicit colorings ---------------------
 
 
-def _leaf_rows(adj: Sequence[int], blocks: Sequence[int]) -> tuple[list[int], list[int]]:
-    """Per vertex, the mask of its block and its row of the cross graph (its
-    neighbours in other blocks), for a leaf of the walk on the graph with
-    adjacency rows adj."""
-    block_of = [0] * len(adj)
-    for m in blocks:
-        for v in iter_bits(m):
-            block_of[v] = m
-    return block_of, [row & ~block_of[v] for v, row in enumerate(adj)]
-
-
 def _good_refinements(g: Graph, t: int, blocks: list[int], below: int | None = None, deadline: float = float("inf")):
     """Yield the good refinements of a leaf lazily, in (len(blue), blue) order,
     each with fewer than `below` blue edges (no limit when None).
@@ -456,8 +446,8 @@ def _good_refinements(g: Graph, t: int, blocks: list[int], below: int | None = N
     if below is not None and g.n - len(blocks) >= below:
         return  # skip the set-up: no refinement is small enough
     adj = g.adj
-    block_of, red = _leaf_rows(adj, blocks)
-    edges = [(u, v) for u in range(g.n) for v in iter_bits(adj[u] & block_of[u]) if u < v]
+    block_of, red = block_rows(adj, blocks)
+    edges = within_edges(adj, block_of)
 
     def connected(block: int) -> bool:
         reach = todo = block & -block

@@ -36,9 +36,9 @@ from .canon import GENERATION_ORDER_CAP, iter_classes
 from .coloring import (
     BlockPartition,
     EdgeColoring,
+    block_rows,
     blue_blocks,
     check_parameters,
-    cross_graph,
     is_critical,
     make_coloring,
 )
@@ -46,7 +46,6 @@ from .construction import block_edge_lower_bound
 from .graphs import (
     Graph,
     _clique_rec,
-    bitmask,
     clique_core_in_mask,
     components,
     iter_bits,
@@ -59,7 +58,6 @@ from .search import (
     FOUND,
     SearchBudget,
     _assert_witness,
-    _leaf_rows,
     _max_red_step,
     _walk_partitions,
 )
@@ -112,9 +110,7 @@ class CocriticalReport:
             "verdict": self.verdict(),
             "is_cocritical": self.is_cocritical,
             "base_status": self.base_status,
-            "base_witness": None
-            if self.base_witness is None
-            else [sorted(b) for b in self.base_witness.blocks],
+            "base_witness": None if self.base_witness is None else self.base_witness.to_json(),
             "failures": [[list(edge), reason] for edge, reason in self.failures],
             "nodes": self.nodes,
             "millis": round(self.millis, 3),
@@ -205,7 +201,7 @@ def is_cocritical(
 
     def on_partition(blocks: list[int]) -> bool:
         leaf = list(blocks)  # the walker reuses its list
-        block_of, cross = _leaf_rows(adj, blocks)
+        block_of, cross = block_rows(adj, blocks)
         still_open = []
         for u, v in open_edges:
             kind = twin_of[u] | twin_of[v]
@@ -309,9 +305,8 @@ def check_critical_structure(c: EdgeColoring, t: int, k: int) -> list[str]:
     if not is_critical(c, t, k):
         raise ValueError("coloring is not good for these parameters")
     violations: list[str] = []
-    blocks = blue_blocks(c).blocks
-    for b in blocks:
-        members = sorted(b)
+    blocks = blue_blocks(c).to_json()
+    for members in blocks:
         for i, u in enumerate(members):
             for v in members[i + 1 :]:
                 if not g.has_edge(u, v):
@@ -321,11 +316,11 @@ def check_critical_structure(c: EdgeColoring, t: int, k: int) -> list[str]:
     small = [b for b in blocks if 2 * len(b) < k]
     for i, b1 in enumerate(small):
         for b2 in small[i + 1 :]:
-            for u in sorted(b1):
-                for v in sorted(b2):
+            for u in b1:
+                for v in b2:
                     if not g.has_edge(u, v):
                         violations.append(
-                            f"small components {sorted(b1)} and {sorted(b2)} "
+                            f"small components {b1} and {b2} "
                             f"miss edge ({u},{v})"
                         )
     if len(small) > t - 1:
@@ -358,7 +353,7 @@ class StructureReport:
         return {
             "t": self.t,
             "k": self.k,
-            "blocks": [sorted(b) for b in self.blocks.blocks],
+            "blocks": self.blocks.to_json(),
             "all_passed": self.all_passed(),
             "items": {name: item.to_json() for name, item in self.items.items()},
         }
@@ -383,7 +378,8 @@ def saturation_structure_checks(report: CocriticalReport) -> StructureReport:
         raise ValueError("report carries no max-red coloring (fail_fast keeps none)")
     g, t, k = tau.base, report.t, report.k
     blocks = blue_blocks(tau)
-    H = cross_graph(g, blocks)
+    block_of, cross = block_rows(g.adj, blocks.blocks)
+    H = Graph(g.n, tuple(cross))
     n = g.n
     items: dict[str, StructureItem] = {}
 
@@ -395,13 +391,7 @@ def saturation_structure_checks(report: CocriticalReport) -> StructureReport:
         {"max_red_degree": max_red, "min_red_degree": min_red, "max_allowed": n - 2, "min_required": 2 * (t - 2)},
     )
 
-    block_index = {}
-    for i, b in enumerate(blocks.blocks):
-        for v in b:
-            block_index[v] = i
-    cross_nonedges = [
-        (u, v) for u, v in g.non_edges() if block_index[u] != block_index[v]
-    ]
+    cross_nonedges = [(u, v) for u, v in g.non_edges() if block_of[u] != block_of[v]]
     failures_b = [
         (u, v)
         for u, v in cross_nonedges
@@ -442,23 +432,23 @@ def saturation_structure_checks(report: CocriticalReport) -> StructureReport:
 def _forced_block_sizes_item(H: Graph, blocks: BlockPartition, t: int, k: int) -> StructureItem:
     """Singleton blocks pinned inside every neighborhood clique force all the
     blocks they do not dominate to be full size."""
-    singletons = [next(iter(b)) for b in blocks.blocks if len(b) == 1]
+    singletons = [b.bit_length() - 1 for b in blocks.blocks if b.bit_count() == 1]
     triggered = 0
     failures: list[dict] = []
     for v in singletons:
-        for u in sorted(iter_bits(H.adj[v])):
+        for u in iter_bits(H.adj[v]):
             nb = H.adj[u]
             core = clique_core_in_mask(H, nb, t - 2)
             if core is None or v not in core:
                 continue
             triggered += 1
             for b in blocks.blocks:
-                if u in b:
+                if b >> u & 1:
                     continue
-                members = bitmask(b)
-                if members & ~nb and len(b) != k - 1:
+                if b & ~nb and b.bit_count() != k - 1:
+                    members = list(iter_bits(b))
                     failures.append(
-                        {"singleton": v, "edge_end": u, "block": sorted(b), "size": len(b)}
+                        {"singleton": v, "edge_end": u, "block": members, "size": len(members)}
                     )
     return StructureItem(
         triggered > 0,

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from test_verify import refuting_by_combinations
 
-from cocritical import cli, stable, verify
+from cocritical import cli, construction, stable, verify
 from cocritical.canon import nonisomorphic_graphs
 from cocritical.cli import main
 from cocritical.construction import ConstructionParams, build
@@ -36,6 +36,21 @@ def test_construct_json(capsys):
     assert doc["results"]["vertices"] == 13 and doc["results"]["edges"] == 44
     assert doc["results"]["warnings"] == []
     assert doc["version"]
+
+
+def test_construct_builds_the_graph_once(capsys, monkeypatch):
+    # the blueprint coloring carries the graph it was built on
+    calls = []
+
+    def counted_build(params):
+        calls.append(params)
+        return build(params)
+
+    monkeypatch.setattr(construction, "build", counted_build)
+    monkeypatch.setattr(cli, "build", counted_build)
+    code, doc = run_json(capsys, "construct", "--t", "4", "--k", "3", "--n", "13")
+    assert code == 0 and doc["results"]["edges"] == 44
+    assert calls == [ConstructionParams(4, 3, 13)]
 
 
 def test_construct_emit_graph6(capsys):
@@ -151,7 +166,24 @@ def test_arrows_true_false(capsys):
     assert code == 0 and doc["results"]["arrows"] is True
     code, doc = run_json(capsys, "arrows", "--complete", "4", "--t", "3", "--k", "3")
     assert code == 1 and doc["results"]["arrows"] is False
-    assert doc["results"]["witness_blocks"]
+    assert doc["results"]["witness_blocks"] == [[0, 1], [2, 3]]
+
+
+def test_block_lists_in_json_are_ascending_vertex_lists(capsys):
+    blocks = [[0, 1], [2, 9], [3, 10], [4, 11], [5, 12], [6, 7], [8]]
+    code, doc = run_json(capsys, "arrows", "--construct", "4,3,13", "--t", "4", "--k", "3")
+    assert code == 1 and doc["results"]["witness_blocks"] == blocks
+    code, doc = run_json(
+        capsys, "verify", "--construct", "4,3,13", "--t", "4", "--k", "3", "--checks"
+    )
+    assert code == 0
+    assert doc["results"]["base_witness"] == blocks
+    assert doc["results"]["structure"]["blocks"] == blocks
+    code, doc = run_json(capsys, "percolate", "--construct", "4,4,18", "--q", "4")
+    assert code == 0
+    assert doc["results"]["blocks"] == [
+        [0, 1, 2], [3, 4, 14], [5, 6, 15], [7, 8, 16], [9, 10, 17], [11, 12, 13]
+    ]
 
 
 def test_arrows_budget(capsys):

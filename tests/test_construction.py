@@ -134,4 +134,4 @@ def test_grid_edge_counts_and_bounds():
             assert g.edge_count() <= turan_edges(ramsey_number(t, k) - 1, n), (t, k, n)
             c = blueprint_coloring(p)
             assert is_critical(c, t, k), (t, k, n)
-            assert blue_blocks(c).max_block <= k - 1
+            assert max(blue_blocks(c).size_multiset()) <= k - 1

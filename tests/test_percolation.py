@@ -15,7 +15,7 @@ from cocritical.percolation import PercolationError, _measure, closure, run
 
 
 def singletons(n):
-    return BlockPartition(tuple(frozenset({v}) for v in range(n)), 1)
+    return BlockPartition(tuple(1 << v for v in range(n)))
 
 
 def rand_graph(rng, n, p=0.5):
@@ -173,6 +173,27 @@ def test_paper_threshold_seed_count_stays_fixed(t, k):
         cert = run(H, blocks, 2 * t - 4)
         assert cert.certified, (t, k, n)
         assert len(cert.seeds) == PAPER_THRESHOLD_SEEDS[t, k], (t, k, n)
+
+
+def test_seed_growth_stays_within_the_allowance_at_the_paper_threshold():
+    # every repair step of the blueprint runs at q = 2t - 4: the allowance
+    # is (B + q - 1) per trace, B the largest block, and the seed set grows
+    # by no more than that
+    steps = 0
+    for t, k in sorted(PAPER_THRESHOLD_SEEDS):
+        q = 2 * t - 4
+        low = min_order(t, k)
+        for n in range(low, low + 8):
+            H, blocks = frozen_instance(t, k, n)
+            largest = max(b.bit_count() for b in blocks.blocks)
+            trail = run(H, blocks, q).trail
+            for before, entry in zip(trail, trail[1:]):
+                step = entry["step"]
+                assert step["growth_allowance"] == (largest + q - 1) * step["trace_count"]
+                growth = len(entry["seeds"]) - len(before["seeds"])
+                assert 0 < growth <= step["growth_allowance"], (t, k, n, entry["iteration"])
+                steps += 1
+    assert steps == 272
 
 
 def test_certificate_4_3_13():

@@ -65,10 +65,10 @@ def check_witness(g, t, k, outcome):
     if outcome.witness is None:
         return
     p = outcome.witness
-    assert p.max_block == k - 1
-    assert sorted(v for b in p.blocks for v in b) == list(range(g.n))
+    assert sorted(v for b in p.blocks for v in iter_bits(b)) == list(range(g.n))
     for b in p.blocks:
-        assert is_connected_mask(g, bitmask(b))
+        assert b.bit_count() <= k - 1
+        assert is_connected_mask(g, b)
     assert is_critical(partition_to_coloring(g, p), t, k)
 
 
@@ -396,7 +396,7 @@ def reference_good_partitions(g, t, k):
     for part in set_partitions(list(range(g.n))):
         if any(len(b) > k - 1 or not is_connected_mask(g, bitmask(b)) for b in part):
             continue
-        if not has_clique(cross_graph(g, make_partition(part, k - 1)), t):
+        if not has_clique(cross_graph(g, make_partition(part)), t):
             good.add(frozenset(bitmask(b) for b in part))
     return good
 
@@ -470,11 +470,11 @@ def test_walk_returns_its_first_leaf():
                     return False
 
                 _, _, _, first = _walk_partitions(g, t, k, SearchBudget(), on_partition, twins)
-                assert first == (make_partition(seen[0], k - 1) if seen else None), (g.adj, t, k)
+                assert first == (make_partition(seen[0]) if seen else None), (g.adj, t, k)
                 reached[first is not None] += 1
     assert reached[True] and reached[False]
     for t, k in PAIRS:
-        assert _walk_partitions(empty_graph(0), t, k, SearchBudget(), lambda blocks: True)[3] == make_partition([], k - 1)
+        assert _walk_partitions(empty_graph(0), t, k, SearchBudget(), lambda blocks: True)[3] == make_partition([])
 
 
 def test_walk_without_a_leaf_returns_no_first():

@@ -250,7 +250,7 @@ def test_twin_image_maps_witnesses_within_a_type():
                     found = exists_critical_coloring(add_edge(g, *e0), t, k).witness
                     if found is None:
                         continue
-                    source = [sum(1 << v for v in b) for b in found.blocks]
+                    source = list(found.blocks)
                     kind = twin_of[e0[0]] | twin_of[e0[1]]
                     for e in g.non_edges():
                         if e != e0 and twin_of[e[0]] | twin_of[e[1]] == kind:
