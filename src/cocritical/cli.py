@@ -24,7 +24,7 @@ import sys
 import time
 
 from . import __version__
-from .coloring import blue_blocks, cross_graph
+from .coloring import EdgeColoring, blue_blocks, cross_graph
 from .construction import (
     ConstructionParams,
     build,
@@ -97,8 +97,14 @@ def _parse_seeds(text: str) -> frozenset[int]:
         raise ValueError(f"--seed expects comma separated vertex ids, got {text!r}") from None
 
 
-def _load_graph(args) -> tuple[Graph, dict]:
-    """Resolve the one graph source the command was given."""
+def _load_graph(args, construct=build) -> tuple[Graph | EdgeColoring, dict]:
+    """Resolve the one graph source the command was given.
+
+    construct turns --construct's parameters into what is returned in the
+    graph's place: build gives the graph, and blueprint_coloring gives the
+    blueprint coloring, which carries the graph as its base, so a caller
+    that needs both builds the graph once.
+    """
     sources = [
         s
         for s in ("construct", "complete", "graph6", "input")
@@ -111,7 +117,7 @@ def _load_graph(args) -> tuple[Graph, dict]:
     src = sources[0]
     if src == "construct":
         params = _parse_construct(args.construct)
-        return build(params), {"construct": args.construct}
+        return construct(params), {"construct": args.construct}
     if src == "complete":
         return complete_graph(args.complete), {"complete": args.complete}
     if src == "graph6":
@@ -230,7 +236,8 @@ def cmd_arrows(args) -> int:
 def cmd_percolate(args) -> int:
     t0 = time.perf_counter()
     budget = SearchBudget(args.node_cap, args.time_cap)
-    g, source = _load_graph(args)
+    g, source = _load_graph(args, blueprint_coloring)
+    blueprint, g = (g, g.base) if args.construct is not None else (None, g)
     # usage errors, --seed ranges included, come back before the max-red
     # search can run
     seeds = None
@@ -244,7 +251,7 @@ def cmd_percolate(args) -> int:
             raise ValueError(
                 "--construct takes its blueprint coloring and cannot be combined with --t/--k"
             )
-        blocks = blue_blocks(blueprint_coloring(_parse_construct(args.construct)))
+        blocks = blue_blocks(blueprint)
     elif args.t is None or args.k is None:
         raise ValueError("--t and --k are required to derive a coloring")
     else:

@@ -26,7 +26,9 @@ Four rules prune the walk, each argued in _walk_partitions:
 - the twin rule, only in the co-criticality walk (verify.is_cocritical sets
   the walk's twins flag, and the walk derives the twin masks from g): of
   partitions that differ by permuting twins, only the lex-leader is kept.
-  The standalone searches here visit every good partition.
+  It acts while a block grows: a candidate whose lower twin would be left
+  outside the block is never added, so no block that breaks the rule is
+  built.  The standalone searches here visit every good partition.
 
 Every walk returns its first leaf as a BlockPartition, re-checked by
 _assert_witness independently of the walker, or None when it reached no
@@ -211,10 +213,19 @@ def _walk_partitions(g: Graph, t: int, k: int, budget: SearchBudget, on_partitio
     a block may hold twin w only if every lower twin of w is in an earlier
     block or in the same one.  The walk derives the masks from g itself, so
     no caller can hand it masks that the soundness argument below does not
-    cover.  A block that breaks the rule is counted as a node but not
-    placed; grow still extends it, since a larger block may take the lower
-    twin in.  Every leaf below an unplaced block breaks the rule, so the
-    walk visits exactly the rule-obeying leaves, in the same relative order.
+    cover.  The rule acts in grow, which never builds a block that breaks
+    it: of its candidates it bars each w that has a lower twin u still
+    unplaced and outside the block, and the barred w still counts as tried
+    for its later siblings, so no block is built twice.  Twins share every
+    neighbour outside {u, w}, so u enters reach together with w and, being
+    lower, is either forbidden already or a candidate tried before w; either
+    way u is forbidden in every block grown from block | w, and each of
+    those blocks breaks the rule.  v0 has no unplaced lower twin, so by
+    induction every block grown obeys the rule, and the walk visits exactly
+    the rule-obeying leaves, in the same relative order as without it.
+    Barred candidates cannot outrun the time or node cap: every grow call
+    makes exactly one counted attempt and skips at most |cand| <= n
+    candidates, so the uncounted work per counted node stays bounded.
 
     Soundness.  Swapping two twins is an automorphism of g: it keeps blocks
     connected and of the same size and maps the cross graph onto an
@@ -271,12 +282,18 @@ def _walk_partitions(g: Graph, t: int, k: int, budget: SearchBudget, on_partitio
         if block.bit_count() == limit:
             return
         cand = reach & unassigned & ~block & ~forbidden
-        used = 0
-        while cand:
-            low = cand & -cand
-            cand ^= low
-            grow(block | low, reach | adj[low.bit_length() - 1], forbidden | used, unassigned, cross)
-            used |= low
+        # the twin rule: bar each candidate with a lower twin left outside
+        go = cand
+        ws = cand & has_lower
+        while ws:
+            w_bit = ws & -ws
+            ws ^= w_bit
+            if lower[w_bit.bit_length() - 1] & unassigned & ~block:
+                go ^= w_bit
+        while go:
+            low = go & -go
+            go ^= low
+            grow(block | low, reach | adj[low.bit_length() - 1], forbidden | cand & (low - 1), unassigned, cross)
 
     def attempt(block: int, unassigned: int, cross: list[int]) -> None:
         nonlocal nodes
@@ -286,12 +303,6 @@ def _walk_partitions(g: Graph, t: int, k: int, budget: SearchBudget, on_partitio
         if nodes & 63 == 1 and time.perf_counter() > deadline:
             raise _BudgetHit
         rest = unassigned & ~block
-        ws = block & has_lower
-        while ws:
-            w_bit = ws & -ws
-            ws ^= w_bit
-            if lower[w_bit.bit_length() - 1] & rest:
-                return
         cross = cross[:]
         # the clique-capacity lookahead: cross[i] counts the placed blocks
         # that meet clique c

@@ -265,23 +265,35 @@ def test_a8_minimum_witnesses():
            problems, f"{len(witnesses)} witnesses on 5..7 vertices")
 
 
-def test_a9_theorem_regime_4_6_33_verified():
-    # k = 6 >= max{6, t}: the first instance in the regime of the paper's
-    # theorem, verified through the CLI under the default budget
+def check_theorem_regime_instance(num: int, t: int, k: int, n: int, non_edges: int, nodes: int) -> None:
+    # verified through the CLI under the default budget, with the walk size
+    # pinned exactly
     t0 = time.perf_counter()
     problems = []
     out = io.StringIO()
+    construct = f"{t},{k},{n}"
     with contextlib.redirect_stdout(out):
-        code = main(["verify", "--construct", "4,6,33", "--t", "4", "--k", "6", "--checks"])
+        code = main(["verify", "--construct", construct, "--t", str(t), "--k", str(k), "--checks"])
     res = json.loads(out.getvalue())["results"]
     if code != 0 or res["verdict"] != CO_CRITICAL or not res["complete"]:
         problems.append(f"exit {code}, verdict {res['verdict']}, complete {res['complete']}")
-    if res["non_edges"] != 285 or res["failures"]:
+    if res["non_edges"] != non_edges or res["failures"]:
         problems.append(f"{res['non_edges']} non-edges, failures {res['failures'][:4]}")
     if not res["structure"]["all_passed"] or res["coloring_structure_violations"]:
         problems.append(f"structure checks: {res['coloring_structure_violations']}")
-    if res["nodes"] != 382685:
-        problems.append(f"walk took {res['nodes']} nodes, pinned 382,685")
+    if res["nodes"] != nodes:
+        problems.append(f"walk took {res['nodes']} nodes, pinned {nodes:,}")
     elapsed = time.perf_counter() - t0
-    report(9, "verify --construct 4,6,33 --checks is co-critical and every check passes",
+    report(num, f"verify --construct {construct} --checks is co-critical and every check passes",
            problems, f"{res['nodes']} nodes, {elapsed:.1f}s")
+
+
+def test_a9_theorem_regime_4_6_33_verified():
+    # k = 6 >= max{6, t}: the first instance in the regime of the paper's
+    # theorem
+    check_theorem_regime_instance(9, 4, 6, 33, 285, 22729)
+
+
+def test_a10_theorem_regime_4_7_45_verified():
+    # k = 7 >= max{6, t}: the smallest construction with k = 7
+    check_theorem_regime_instance(10, 4, 7, 45, 615, 132421)

@@ -38,8 +38,9 @@ def test_construct_json(capsys):
     assert doc["version"]
 
 
-def test_construct_builds_the_graph_once(capsys, monkeypatch):
-    # the blueprint coloring carries the graph it was built on
+@pytest.fixture
+def build_calls(monkeypatch):
+    # the parameters of every construction build, wherever it is called from
     calls = []
 
     def counted_build(params):
@@ -48,9 +49,21 @@ def test_construct_builds_the_graph_once(capsys, monkeypatch):
 
     monkeypatch.setattr(construction, "build", counted_build)
     monkeypatch.setattr(cli, "build", counted_build)
+    return calls
+
+
+def test_construct_builds_the_graph_once(capsys, build_calls):
+    # the blueprint coloring carries the graph it was built on
     code, doc = run_json(capsys, "construct", "--t", "4", "--k", "3", "--n", "13")
     assert code == 0 and doc["results"]["edges"] == 44
-    assert calls == [ConstructionParams(4, 3, 13)]
+    assert build_calls == [ConstructionParams(4, 3, 13)]
+
+
+def test_percolate_builds_the_graph_once(capsys, build_calls):
+    # percolate --construct takes G from the blueprint coloring it runs on
+    code, doc = run_json(capsys, "percolate", "--construct", "4,3,13", "--q", "3")
+    assert code == 0 and doc["results"]["blocks"]
+    assert build_calls == [ConstructionParams(4, 3, 13)]
 
 
 def test_construct_emit_graph6(capsys):
@@ -105,7 +118,7 @@ def test_verify_reports_a_walk_without_leaves(capsys):
     code, doc = run_json(capsys, "verify", "--complete", "7", "--t", "4", "--k", "3")
     assert code == 1
     res = doc["results"]
-    assert res["base_status"] == "exhausted" and res["nodes"] == 7
+    assert res["base_status"] == "exhausted" and res["nodes"] == 2
 
 
 def test_verify_budget_exit(capsys):
@@ -119,7 +132,7 @@ def test_verify_budget_exit(capsys):
 
 
 def test_verify_time_cap_exit(capsys):
-    # the (4,5,28) walk takes 22,606 nodes, far more than 1 ms allows, and
+    # the (4,5,28) walk takes 4,315 nodes, far more than 1 ms allows, and
     # the clock is read every 64 of them
     code, doc = run_json(
         capsys,

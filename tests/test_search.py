@@ -446,7 +446,7 @@ def test_time_cap_stops_a_short_walk_within_64_nodes(monkeypatch):
     # stops at the next read, 64 nodes after the deadline passed
     g = build(ConstructionParams(4, 4, 18))
     status, total, _, _ = _walk_partitions(g, 4, 4, SearchBudget(), lambda blocks: False, twins=True)
-    assert status == EXHAUSTED and total == 931
+    assert status == EXHAUSTED and total == 542
     for reads in range(total // 64 + 1):
         clock = iter([0.0] * (1 + reads))
         monkeypatch.setattr(search.time, "perf_counter", lambda: next(clock, 1.0))

@@ -262,7 +262,7 @@ def test_twin_image_maps_witnesses_within_a_type():
 
 @pytest.mark.parametrize(
     "t, k, n, pruned, full",
-    [(4, 3, 13, 60, 60), (5, 3, 17, 529, 529), (4, 4, 18, 931, 1659)],
+    [(4, 3, 13, 60, 60), (5, 3, 17, 529, 529), (4, 4, 18, 542, 1659), (4, 5, 28, 4315, 123766)],
 )
 def test_twin_rule_walk_sizes(t, k, n, pruned, full):
     # both walks have the lookaheads (the walks without them are pinned in
@@ -337,13 +337,13 @@ def test_budget_indeterminate():
 
 
 def test_budget_runs_out_mid_walk():
-    # the first leaf (the base witness) comes at 108 nodes, 66 with the
-    # twin rule, and the pruned walk takes 931 (test_twin_rule_walk_sizes);
+    # the first leaf (the base witness) comes at 108 nodes, 46 with the
+    # twin rule, and the pruned walk takes 542 (test_twin_rule_walk_sizes);
     # the cap stops the one walk in between with every non-edge still open
     g = build(ConstructionParams(4, 4, 18))
     assert exists_critical_coloring(g, 4, 4).nodes == 108
     first = _walk_partitions(g, 4, 4, SearchBudget(), lambda blocks: True, twins=True)
-    assert first[:2] == (FOUND, 66)
+    assert first[:2] == (FOUND, 46)
     report = is_cocritical(g, 4, 4, SearchBudget(node_cap=500))
     assert report.base_status == FOUND and report.base_witness is not None
     assert report.failures == tuple((e, BUDGET) for e in g.non_edges())
