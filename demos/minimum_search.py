@@ -2,12 +2,14 @@
 
 Scans the isomorphism classes on n vertices in edge-count order and stops
 at the first co-critical graph, so the answer is the true minimum for
-that n.  Each witness is then torn down by brute force as a sanity check:
-the graph itself must admit a good coloring and every single-edge
-extension must not.
+that n.  Below Chvátal's order (t-1)(k-1)+1 no graph is co-critical, and
+the search answers without examining a class.  Each witness is then torn
+down by brute force as a sanity check: the graph itself must admit a good
+coloring and every single-edge extension must not.
 """
 
 from cocritical import min_cocritical_search
+from cocritical.construction import ramsey_number
 from cocritical.graph6 import emit_graph6
 from cocritical.graphs import add_edge
 from cocritical.search import brute_force_exists
@@ -16,6 +18,11 @@ T, K = 3, 3
 
 for n in range(4, 8):
     result = min_cocritical_search(T, K, n)
+    if n < ramsey_number(T, K):
+        assert result.minimum_edges is None and result.examined == 0
+        print(f"n={n}: no co-critical graph, since n <= (t-1)(k-1) = {ramsey_number(T, K) - 1} "
+              f"leaves nothing to examine (complete={result.complete})")
+        continue
     if result.minimum_edges is None:
         print(f"n={n}: no co-critical graph "
               f"({result.examined} classes examined, {result.refuted} refuted "

@@ -30,7 +30,6 @@ from .search import (
     SearchOutcome,
     arrows,
     brute_force_exists,
-    enumerate_critical_colorings,
     exists_critical_coloring,
     max_red_critical_coloring,
 )
@@ -66,7 +65,6 @@ __all__ = [
     "complete_graph",
     "cross_graph",
     "emit_graph6",
-    "enumerate_critical_colorings",
     "exists_critical_coloring",
     "is_cocritical",
     "is_critical",

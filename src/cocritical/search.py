@@ -1,4 +1,4 @@
-"""Deciding, enumerating, and optimizing good colorings by partition search.
+"""Deciding and optimizing good colorings by partition search.
 
 A good coloring for (t, k) exists iff the vertex set splits into connected
 blocks of at most k-1 vertices whose block-crossing edges contain no clique on
@@ -42,17 +42,17 @@ _good_refinements, yields them lazily in (len(blue), blue) order, each with
 fewer blue edges than an optional bound, and raises the budget exception
 once the caller's time cap runs out.  One leaf step, _max_red_step, takes
 its first item per leaf for max_red_critical_coloring and for the fold in
-verify.is_cocritical; enumerate_critical_colorings takes every item.
+verify.is_cocritical.
 _good_refinements and the co-criticality leaf step read a leaf's block and
 cross rows from coloring.block_rows.
 
 Budgets cap tree nodes and wall time; outcomes say whether the space was
 exhausted or the budget ran out, and an `arrows` query that dies on budget
 raises instead of guessing.  The walk reads the clock at its first node and
-every 64 nodes after it, the leaf step at each of its own nodes.  The
-brute-force routines scan all 2^e colorings directly and exist to
-cross-check the partition search on small inputs; they share no code with
-it on purpose.
+every 64 nodes after it, the leaf step at each of its own nodes.
+brute_force_exists scans all 2^e colorings directly (_brute_force_scan
+yields every good one) and exists to cross-check the partition search on
+small inputs; it shares no code with the search on purpose.
 """
 
 from __future__ import annotations
@@ -86,7 +86,6 @@ BUDGET_EXCEEDED = "budget_exceeded"
 
 DEFAULT_NODE_CAP = 10**8
 DEFAULT_TIME_CAP = 600.0
-ENUMERATION_CAP = 10**6
 # the walk tests every kept clique that meets a new block, and a graph may
 # have exponentially many large maximal cliques; any subset keeps the rule sound
 CAPACITY_CLIQUE_CAP = 256
@@ -505,30 +504,6 @@ def _max_red_step(g: Graph, t: int, blocks: list[int], best: list, deadline: flo
         best[:] = [blue]
 
 
-def enumerate_critical_colorings(g: Graph, t: int, k: int, budget: SearchBudget = SearchBudget()) -> list[EdgeColoring]:
-    """All good colorings, ordered by partition then blue edge set.
-
-    The result is truncated at ENUMERATION_CAP; running out of nodes or
-    time before the space is exhausted raises instead, because a partial
-    answer to "list them all" is not an answer.  Each leaf's colorings come
-    from _good_refinements, which also checks the time cap; an EdgeColoring
-    is built only for each coloring returned.
-    """
-    results: list[tuple[tuple, tuple]] = []
-    deadline = time.perf_counter() + budget.time_cap
-
-    def on_partition(blocks: list[int]) -> bool:
-        part_key = tuple(tuple(iter_bits(m)) for m in blocks)
-        results.extend((part_key, blue) for blue in _good_refinements(g, t, blocks, deadline=deadline))
-        return len(results) >= ENUMERATION_CAP
-
-    status, nodes, _, _ = _walk_partitions(g, t, k, budget, on_partition)
-    if status == BUDGET_EXCEEDED:
-        raise IndeterminateResultError(f"enumeration incomplete after {nodes} nodes")
-    results.sort()
-    return [make_coloring(g, blue) for _, blue in results[:ENUMERATION_CAP]]
-
-
 def max_red_critical_coloring(g: Graph, t: int, k: int, budget: SearchBudget = SearchBudget()) -> EdgeColoring:
     """A good coloring with the most red edges; first in canonical order on ties.
 
@@ -563,11 +538,6 @@ def brute_force_exists(g: Graph, t: int, k: int) -> bool:
     for _ in _brute_force_scan(g, t, k):
         return True
     return False
-
-
-def brute_force_critical_colorings(g: Graph, t: int, k: int) -> list[EdgeColoring]:
-    """Every good coloring, by exhaustive scan.  Cross-check for enumerate."""
-    return [make_coloring(g, blue) for blue in _brute_force_scan(g, t, k)]
 
 
 def _brute_force_scan(g: Graph, t: int, k: int):

@@ -42,7 +42,7 @@ from .coloring import (
     is_critical,
     make_coloring,
 )
-from .construction import block_edge_lower_bound
+from .construction import block_edge_lower_bound, ramsey_number
 from .graphs import (
     Graph,
     _clique_rec,
@@ -520,12 +520,18 @@ def _refuting_non_edge(g: Graph, t: int) -> Edge | None:
     neighbourhood N(u) & N(v) holds no K_{t-2}; None if there is none.
 
     Such a non-edge shows that g is not co-critical; min_cocritical_search
-    gives the argument.
+    gives the argument.  The scan walks each row's non-neighbours above u
+    lowest first, which is g.non_edges() order, and builds no list.
     """
-    adj, need = g.adj, t - 2
-    for u, v in g.non_edges():
-        if not _clique_rec(adj, adj[u] & adj[v], need):
-            return u, v
+    adj, need, full = g.adj, t - 2, g.vertex_mask
+    for u in range(g.n):
+        rest = full & ~adj[u] & ~((2 << u) - 1)  # non-neighbours above u
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            v = low.bit_length() - 1
+            if not _clique_rec(adj, adj[u] & adj[v], need):
+                return u, v
     return None
 
 
@@ -539,6 +545,16 @@ def min_cocritical_search(
     caps apply to each individual search; graphs left indeterminate by them
     are reported and make the result incomplete.  Parameters are checked
     before any class is generated.
+
+    Below Chvátal's order r(K_t, T_k) = (t-1)(k-1)+1
+    (construction.ramsey_number) nothing is generated: the answer is no
+    minimum, complete, with nothing examined, whatever the budget.
+    Soundness: for n <= (t-1)(k-1), split K_n into t-1 parts of at most k-1
+    vertices each, colour the edges inside the parts blue and those across
+    them red.  Every blue component has fewer than k vertices, and the red
+    graph is (t-1)-partite, so it holds no K_t.  Every g+uv on n vertices
+    is a subgraph of K_n and inherits this good colouring, so no g on n
+    vertices is co-critical.
 
     A class with a refuting non-edge (_refuting_non_edge) is decided without
     a walk: it is not co-critical, and it counts in examined and in refuted.
@@ -559,6 +575,8 @@ def min_cocritical_search(
     check_parameters(t, k)
     if not 1 <= n <= GENERATION_ORDER_CAP:
         raise ValueError(f"n must be between 1 and {GENERATION_ORDER_CAP}, got {n}")
+    if n < ramsey_number(t, k):
+        return MinSearchResult(t, k, n, None, (), 0, (), 0)
     minimum: int | None = None
     witnesses: list[Graph] = []
     indeterminate: list[tuple[Graph, int]] = []

@@ -13,6 +13,8 @@ import random
 import time
 from fractions import Fraction
 
+from oracles import brute_force_critical_colorings
+
 from cocritical.canon import nonisomorphic_graphs
 from cocritical.cli import main
 from cocritical.coloring import blue_blocks, cross_graph, is_critical
@@ -28,7 +30,6 @@ from cocritical.graphs import add_edge, complete_graph, make_graph
 from cocritical.percolation import run as percolation_run
 from cocritical.search import (
     arrows,
-    brute_force_critical_colorings,
     brute_force_exists,
     exists_critical_coloring,
 )

@@ -278,6 +278,17 @@ def test_minsearch_budget_exit_lists_every_class(capsys):
     assert all(verify.is_cocritical(g, 3, 3).verdict() == verify.NOT_CO_CRITICAL for g in refuted)
 
 
+def test_minsearch_below_chvatal_order_ignores_the_budget(capsys):
+    # n = 4 <= (t-1)(k-1): no class is examined, so no walk can run out
+    code, doc = run_json(
+        capsys, "minsearch", "--t", "3", "--k", "3", "--n", "4", "--node-cap", "1"
+    )
+    assert code == 1
+    res = doc["results"]
+    assert res["complete"] is True and res["minimum_edges"] is None
+    assert res["examined"] == res["refuted"] == 0 and res["indeterminate"] == []
+
+
 def test_props_budget_exit(capsys, tmp_path):
     corpus = tmp_path / "corpus.g6"
     corpus.write_text("DN{\n" + emit_graph6(build(ConstructionParams(4, 3, 13))) + "\n")

@@ -4,6 +4,7 @@ counts, bound formulas, and the good coloring that comes with the build."""
 from fractions import Fraction
 
 import pytest
+from oracles import enumerate_critical_colorings
 
 from cocritical.coloring import blue_blocks, is_critical
 from cocritical.construction import (
@@ -21,7 +22,6 @@ from cocritical.construction import (
     upper_bound_edges,
     upper_bound_offset,
 )
-from cocritical.search import enumerate_critical_colorings
 
 GRID = [(t, k) for t in (4, 5) for k in range(3, 9)]
 

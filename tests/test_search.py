@@ -6,6 +6,7 @@ import random
 from itertools import combinations, product
 
 import pytest
+from oracles import brute_force_critical_colorings, enumerate_critical_colorings
 from test_graphs import is_connected_mask
 
 from cocritical import search, verify
@@ -39,9 +40,7 @@ from cocritical.search import (
     _assert_witness,
     _good_refinements,
     arrows,
-    brute_force_critical_colorings,
     brute_force_exists,
-    enumerate_critical_colorings,
     exists_critical_coloring,
     max_red_critical_coloring,
     _walk_partitions,

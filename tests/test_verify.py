@@ -5,10 +5,11 @@ import math
 from itertools import combinations
 
 import pytest
+from oracles import enumerate_critical_colorings
 from test_search import FROZEN_MAX_RED_BLUE, lower_twins
 
 from cocritical import cli, search, verify
-from cocritical.canon import nonisomorphic_graphs
+from cocritical.canon import GENERATION_ORDER_CAP, iter_classes, nonisomorphic_graphs
 from cocritical.coloring import make_coloring, make_partition
 from cocritical.construction import ConstructionParams, blueprint_coloring, build
 from cocritical.graphs import (
@@ -29,7 +30,6 @@ from cocritical.search import (
     _assert_witness,
     _walk_partitions,
     brute_force_exists,
-    enumerate_critical_colorings,
     exists_critical_coloring,
     max_red_critical_coloring,
 )
@@ -644,12 +644,52 @@ def scan_without_lemma(t, k, n):
     return minimum, witnesses, examined, not indeterminate
 
 
-@pytest.mark.parametrize(
-    "t, k, n", [(3, 3, 4), (3, 3, 5), (3, 3, 6), (3, 3, 7), (3, 4, 7), (4, 3, 7), (3, 5, 7)]
-)
+@pytest.mark.parametrize("t, k, n", [(3, 3, 5), (3, 3, 6), (3, 3, 7), (3, 4, 7), (4, 3, 7)])
 def test_min_search_matches_the_scan_without_lemma(t, k, n):
     r = min_cocritical_search(t, k, n)
     got = (r.minimum_edges, [emit_graph6(w) for w in r.witnesses], r.examined, r.complete)
     assert got == scan_without_lemma(t, k, n)
     assert 0 < r.refuted < r.examined
     assert r.to_json()["refuted"] == r.refuted
+
+
+# --- the order bound of min_cocritical_search --------------------------------
+
+
+@pytest.mark.parametrize("t, k, n", [(3, 3, 4), (3, 5, 7)])
+def test_min_search_below_chvatal_order_matches_the_scan(t, k, n):
+    # the scan walks every class and finds none; the search examines none
+    r = min_cocritical_search(t, k, n)
+    minimum, witnesses, examined, complete = scan_without_lemma(t, k, n)
+    got = (r.minimum_edges, [emit_graph6(w) for w in r.witnesses], r.complete)
+    assert got == (minimum, witnesses, complete)
+    assert minimum is None and examined > 0
+    assert r.examined == r.refuted == 0
+
+
+def test_min_search_below_chvatal_order_generates_nothing(monkeypatch):
+    def unreachable(n):
+        raise AssertionError("generation reached below Chvátal's order")
+
+    monkeypatch.setattr(verify, "iter_classes", unreachable)
+    answered = 0
+    for t in range(2, 6):
+        for k in range(2, 6):
+            for n in range(1, min((t - 1) * (k - 1), GENERATION_ORDER_CAP) + 1):
+                r = min_cocritical_search(t, k, n, SearchBudget(node_cap=1))
+                assert r == verify.MinSearchResult(t, k, n, None, (), 0, (), 0), (t, k, n)
+                answered += 1
+    assert answered == 83
+
+
+def test_min_search_scans_from_chvatal_order(monkeypatch):
+    orders = []
+
+    def recording(n):
+        orders.append(n)
+        return iter_classes(n)
+
+    monkeypatch.setattr(verify, "iter_classes", recording)
+    r = min_cocritical_search(3, 3, 5)  # n = (t-1)(k-1)+1
+    assert orders == [5]
+    assert (r.minimum_edges, r.examined, r.complete) == (8, 32, True)
