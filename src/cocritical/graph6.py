@@ -37,13 +37,25 @@ def _emit_order(n: int) -> list[int]:
 
 
 def parse_graph6(text: str) -> Graph:
+    """Decode one graph6 line; a malformed one raises ValueError naming the
+    offending byte.
+
+    The body is read as one integer, six bits per byte, first byte
+    highest, so its low bits are the padding and, above them, the columns
+    of the upper triangle from the last one down.  Each column is peeled
+    off the low end in turn and only its set bits are visited.  The byte
+    range is tested with min and max; only a string that fails is scanned
+    character by character, to name the first offending byte.
+    """
     s = text.rstrip("\r\n")
     if not s:
         raise ValueError("byte 0: empty graph6 string")
-    data = [ord(c) for c in s]
-    for off, c in enumerate(data):
-        if not 63 <= c <= 126:
-            raise ValueError(f"byte {off}: character {c!r} outside graph6 range")
+    if min(s) < "?" or max(s) > "~":
+        # some character lies outside chr(63)..chr(126), so this loop raises
+        for off, ch in enumerate(s):
+            if not 63 <= ord(ch) <= 126:
+                raise ValueError(f"byte {off}: character {ord(ch)!r} outside graph6 range")
+    data = s.encode()
     n, body_start = _parse_order(data)
     if n > MAX_ORDER:
         raise ValueError(f"byte 1: graph order {n} exceeds cap {MAX_ORDER}")
@@ -51,24 +63,29 @@ def parse_graph6(text: str) -> Graph:
     expect = body_start + (nbits + 5) // 6
     if len(data) != expect:
         raise ValueError(f"byte {len(s)}: expected {expect} bytes for order {n}, got {len(data)}")
+    body = 0
+    for c in data[body_start:]:
+        body = body << 6 | c - 63
+    # padding bits beyond the triangle must be zero; they all sit in the last byte
+    pad = (expect - body_start) * 6 - nbits
+    if body & ((1 << pad) - 1):
+        raise ValueError(f"byte {expect - 1}: nonzero padding bit")
+    body >>= pad
     rows = [0] * n
-    idx = 0
-    for col in range(1, n):
-        for row in range(col):
-            group = data[body_start + idx // 6] - 63
-            if group >> (5 - idx % 6) & 1:
-                rows[row] |= 1 << col
-                rows[col] |= 1 << row
-            idx += 1
-    # padding bits beyond the triangle must be zero
-    for pad in range(nbits, (nbits + 5) // 6 * 6):
-        group = data[body_start + pad // 6] - 63
-        if group >> (5 - pad % 6) & 1:
-            raise ValueError(f"byte {body_start + pad // 6}: nonzero padding bit")
+    for col in range(n - 1, 0, -1):
+        # bit col-1-row of this column's chunk is the pair (row, col)
+        chunk = body & ((1 << col) - 1)
+        body >>= col
+        while chunk:
+            low = chunk & -chunk
+            chunk ^= low
+            row = col - low.bit_length()
+            rows[row] |= 1 << col
+            rows[col] |= 1 << row
     return Graph(n, tuple(rows))
 
 
-def _parse_order(data: list[int]) -> tuple[int, int]:
+def _parse_order(data: bytes) -> tuple[int, int]:
     if data[0] != 126:
         return data[0] - 63, 1
     if len(data) < 4:

@@ -10,6 +10,14 @@ Neighborhood intersection (``adj[u] & adj[v]``) is the primitive everything
 else is built from: clique search branches on the lowest candidate bit and
 recurses into the common neighborhood, which keeps enumeration order
 deterministic and makes membership tests cheap.
+
+The maximum stable sets come from one branch-and-bound that partitions the
+candidates greedily into cliques at each call, since a stable set takes at
+most one vertex of each (the colouring bound of Tomita and Seki's MCQ, read
+on the complement).  Its family is checked, order included, against brute
+force on tie-heavy graphs and every class on up to 6 vertices, and on 300
+G(n, m) graphs shaped like the props corpus against the maximum cliques of
+the complement and the plain popcount-cut search kept in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -48,18 +56,41 @@ class Graph:
     adj: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        """Reject a wrong row count, bits outside 0..n-1, loops and
+        asymmetric rows.
+
+        Symmetry is tested on the upper triangle only: every bit u > v of
+        row v must have its mirror, bit v of row u, and the rows must hold
+        exactly twice as many bits as the upper triangle.  Mirroring maps
+        the upper bits one-to-one onto lower bits, so equal counts leave no
+        lower bit without its mirror.  Only on failure is every bit
+        visited, so that the message names the first asymmetric pair.
+        """
         _check_order(self.n)
-        if len(self.adj) != self.n:
+        adj = self.adj
+        if len(adj) != self.n:
             raise ValueError("adjacency row count does not match order")
         full = (1 << self.n) - 1
-        for v, row in enumerate(self.adj):
+        total = upper = 0
+        mirrored = True
+        for v, row in enumerate(adj):
             if row & ~full:
                 raise ValueError(f"row {v} refers to vertices >= {self.n}")
             if row >> v & 1:
                 raise ValueError(f"loop at vertex {v}")
+            total += row.bit_count()
+            above = row >> v
+            upper += above.bit_count()
+            while above and mirrored:
+                low = above & -above
+                if not adj[v + low.bit_length() - 1] >> v & 1:
+                    mirrored = False
+                above ^= low
+        if mirrored and 2 * upper == total:
+            return
         for v in range(self.n):
-            for u in iter_bits(self.adj[v]):
-                if not self.adj[u] >> v & 1:
+            for u in iter_bits(adj[v]):
+                if not adj[u] >> v & 1:
                     raise ValueError(f"asymmetric adjacency {v},{u}")
 
     # --- basic queries ---------------------------------------------------
@@ -355,44 +386,78 @@ def max_stable_sets(g: Graph) -> tuple[int, list[frozenset[int]]]:
     """Independence number and the full family of maximum stable sets, in
     lexicographic vertex order.
 
-    One branch-and-bound over the complement's rows: a call holds a stable
-    set and the candidates above its largest vertex that extend it, branches
-    on the lowest candidate first, and is cut when the set with every
-    candidate stays below the best size so far.  A leaf (no candidates) of
-    that size joins the family, which starts over whenever the best size
-    grows.  A maximum stable set S is never cut, since along its path the
-    candidates hold the rest of S, and it reaches a leaf, since a candidate
-    left over would extend it; the leaves come in lexicographic order.
-    Exhaustive; guarded to small orders.
+    One branch-and-bound with the greedy-colouring bound of Tomita and
+    Seki's MCQ (DMTCS 2003), read on the complement.  A call holds a stable
+    set and the candidates that extend it.  It first cuts when the set with
+    every candidate stays below the best size so far.  Otherwise it
+    partitions the candidates greedily into cliques C_1..C_m of g, branches
+    on the vertices of C_m first, then C_{m-1}, and so on, removing each
+    vertex from the candidates once its branch returns, and cuts when the
+    set plus the number of cliques left stays below the best size.  A leaf
+    (no candidates) of that size joins the family, which starts over
+    whenever the best size grows.
+
+    Soundness: a stable set takes at most one vertex of a clique, and when
+    the call reaches C_i the candidates left lie in C_1..C_i, so no set
+    grown from there exceeds the set plus i vertices.  Let S be a maximum
+    stable set.  Along its path, the vertex a call branches on for S is
+    the first of S's remaining vertices it reaches, so the others are still
+    candidates there and, being non-adjacent to it, in the child's
+    candidates too.  No cut on the path fires, since the rest of S, at most
+    one vertex per clique left, fits in the bound and |S| is at least the
+    best size.  A call whose set is all of S has no candidates, since one
+    would extend S, so S reaches a leaf; removing each vertex after its
+    branch means no other path chooses the same set, so S joins once.  The
+    cuts are strict, so sets tying the best size are kept.
+
+    The leaves come out of lexicographic order and are sorted at the end:
+    equal-size sets A and B have A first exactly when min(A ^ B) lies in
+    A, which is the order of their bit strings read from vertex 0 up,
+    largest first.  Exhaustive; guarded to small orders.
     """
     if g.n > STABLE_SET_ORDER_CAP:
         raise ValueError(f"stable-set enumeration guarded to n <= {STABLE_SET_ORDER_CAP}")
     if g.n == 0:
         raise ValueError("graph has no vertices")
+    adj = g.adj
     full = g.vertex_mask
-    co = [full & ~row & ~(1 << v) for v, row in enumerate(g.adj)]
+    co = [full & ~row & ~(1 << v) for v, row in enumerate(adj)]
     best = 0
-    family: list[frozenset[int]] = []
-    chosen: list[int] = []
+    family: list[int] = []
 
-    def extend(cand: int) -> None:
+    def extend(chosen: int, size: int, cand: int) -> None:
         nonlocal best
         if not cand:
-            if len(chosen) > best:
-                best = len(chosen)
+            if size > best:
+                best = size
                 family.clear()
-            if len(chosen) == best:
-                family.append(frozenset(chosen))
+            if size == best:
+                family.append(chosen)
             return
-        while cand:
-            if len(chosen) + cand.bit_count() < best:
-                return
-            low = cand & -cand
-            cand ^= low
-            v = low.bit_length() - 1
-            chosen.append(v)
-            extend(co[v] & cand)
-            chosen.pop()
+        if size + cand.bit_count() < best:
+            return
+        cliques = []
+        rest = cand
+        while rest:
+            clique = low = rest & -rest
+            inside = rest & adj[low.bit_length() - 1]
+            while inside:
+                low = inside & -inside
+                clique |= low
+                inside &= adj[low.bit_length() - 1]
+            rest ^= clique
+            cliques.append(clique)
+        left = len(cliques)
+        for clique in reversed(cliques):
+            while clique:
+                if size + left < best:
+                    return
+                low = clique & -clique
+                clique ^= low
+                cand ^= low
+                extend(chosen | low, size + 1, co[low.bit_length() - 1] & cand)
+            left -= 1
 
-    extend(full)
-    return best, family
+    extend(0, 0, full)
+    family.sort(key=lambda m: f"{m:0{g.n}b}"[::-1], reverse=True)
+    return best, [frozenset(iter_bits(m)) for m in family]

@@ -570,7 +570,8 @@ def min_cocritical_search(
 
     This is condition (3) of is_cocritical with G's rows for the cross rows:
     cross rows are subsets of G's rows, so such a uv is settled at every good
-    partition.  For t = 2 the lemma never fires, since every set holds a K_0.
+    partition.  For t = 2 the lemma never fires, since every set holds a K_0,
+    so the scan for a refuting non-edge is skipped there.
     """
     check_parameters(t, k)
     if not 1 <= n <= GENERATION_ORDER_CAP:
@@ -588,7 +589,7 @@ def min_cocritical_search(
         if e == n * (n - 1) // 2:
             continue  # complete graph can never be co-critical
         examined += 1
-        if _refuting_non_edge(g, t) is not None:
+        if t > 2 and _refuting_non_edge(g, t) is not None:
             refuted += 1
             continue
         report = is_cocritical(g, t, k, budget, fail_fast=True)

@@ -4,6 +4,7 @@ reference decoder written here from the format description."""
 import random
 
 import pytest
+from oracles import reference_parse_graph6
 
 from cocritical.canon import nonisomorphic_graphs
 from cocritical.graphs import complete_graph, cycle_graph, empty_graph, make_graph
@@ -83,17 +84,81 @@ def test_long_form_order_prefix():
     assert parse_graph6(emit_graph6(g)) == g
 
 
+REJECTIONS = [
+    ("", "byte 0: empty graph6 string"),
+    ("B\x1f", "byte 1: character 31 outside graph6 range"),  # below the range
+    ("B\x7f", "byte 1: character 127 outside graph6 range"),  # above it
+    ("B\xe9w", "byte 1: character 233 outside graph6 range"),  # not ASCII
+    ("Bw\u20ac", "byte 2: character 8364 outside graph6 range"),
+    ("B", "byte 1: expected 2 bytes for order 3, got 1"),  # truncated edge bits
+    ("Bwx", "byte 3: expected 2 bytes for order 3, got 3"),  # trailing bytes
+    ("B" + chr(63 + 0b111111), "byte 1: nonzero padding bit"),
+    ("D?" + chr(63 + 0b000001), "byte 2: nonzero padding bit"),  # n = 5: 10 bits
+    ("~", "byte 0: truncated long-form order prefix"),
+    ("~??", "byte 0: truncated long-form order prefix"),
+    ("~~???", "byte 1: 36-bit order form exceeds supported range"),
+    ("~?A@", "byte 1: graph order 129 exceeds cap 128"),
+]
+
+
 def test_parse_rejects_garbage():
-    with pytest.raises(ValueError):
-        parse_graph6("")
-    with pytest.raises(ValueError):
-        parse_graph6("B\x1f")  # byte below the printable range
-    with pytest.raises(ValueError):
-        parse_graph6("B")  # truncated edge bits
-    with pytest.raises(ValueError):
-        parse_graph6("Bwx")  # trailing bytes
-    with pytest.raises(ValueError):
-        parse_graph6("B" + chr(63 + 0b111111))  # nonzero padding bits
+    for line, message in REJECTIONS:
+        for parse in (parse_graph6, reference_parse_graph6):
+            with pytest.raises(ValueError) as err:
+                parse(line)
+            assert str(err.value) == message, (parse.__name__, line)
+
+
+def mutate(rng, line):
+    """One seeded corruption of a graph6 line: a byte replaced, dropped or
+    added, the line cut or extended, or the padding bits of the last byte
+    set."""
+    chars = list(line)
+    kind = rng.randrange(6)
+    at = rng.randrange(len(chars) + 1)
+    byte = chr(rng.choice([rng.randrange(63, 127), rng.randrange(0, 63), rng.randrange(127, 300)]))
+    if kind == 0 and chars:
+        chars[min(at, len(chars) - 1)] = byte
+    elif kind == 1 and chars:
+        del chars[min(at, len(chars) - 1)]
+    elif kind == 2:
+        chars.insert(at, byte)
+    elif kind == 3:
+        del chars[at:]
+    elif kind == 4:
+        chars += [chr(rng.randrange(63, 127)) for _ in range(rng.randrange(1, 4))]
+    elif chars:
+        chars[-1] = chr(63 + (ord(chars[-1]) - 63 | rng.randrange(1, 64)))
+    return "".join(chars)
+
+
+def test_parse_matches_the_bit_by_bit_oracle_on_mutated_lines():
+    # corpus-shaped lines (G(n, m) on 12..24 vertices), small classes and
+    # long-form orders, each decoded as it is and after seeded corruption:
+    # the result must be the same Graph or the same "byte N: ..." message
+    rng = random.Random(29)
+    lines = [emit_graph6(g) for n in range(1, 6) for g in nonisomorphic_graphs(n)]
+    for _ in range(300):
+        n = rng.randint(12, 24)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        lines.append(emit_graph6(make_graph(n, rng.sample(pairs, rng.randint(21, len(pairs) // 2)))))
+    lines += [emit_graph6(rand_graph(rng, n, rng.random())) for n in (62, 63, 64, 100, 128)]
+    lines += ["~?A~", "~~", "~?B?", "~?A" + chr(rng.randrange(63, 127))]
+    outcomes = set()
+    for line in lines:
+        for text in [line, line + "\n"] + [mutate(rng, line) for _ in range(12)]:
+            try:
+                want = reference_parse_graph6(text)
+            except ValueError as exc:
+                with pytest.raises(ValueError) as err:
+                    parse_graph6(text)
+                assert str(err.value) == str(exc), repr(text)
+                outcomes.add(str(exc).split(":")[1].split()[0])
+            else:
+                assert parse_graph6(text) == want, repr(text)
+                outcomes.add("ok")
+    # every kind of failure was met
+    assert outcomes == {"ok", "empty", "character", "expected", "nonzero", "truncated", "36-bit", "graph"}
 
 
 def test_parse_lines():

@@ -5,6 +5,7 @@ import random
 from itertools import combinations
 
 import pytest
+from oracles import reference_max_stable_sets
 
 from cocritical.canon import nonisomorphic_graphs
 from cocritical.construction import ConstructionParams, build
@@ -82,8 +83,44 @@ def test_make_graph_validates():
         make_graph(3, [(0, 3)])  # out of range
     with pytest.raises(ValueError):
         make_graph(-1, [])
-    with pytest.raises(ValueError):
-        Graph(2, (0b10, 0b10))  # asymmetric adjacency
+    with pytest.raises(ValueError, match="^loop at vertex 1$"):
+        Graph(2, (0b10, 0b10))
+    with pytest.raises(ValueError, match="^asymmetric adjacency 0,1$"):
+        Graph(2, (0b10, 0))
+    # only a lower bit, so the upper-triangle mirror test alone passes
+    with pytest.raises(ValueError, match="^asymmetric adjacency 1,0$"):
+        Graph(2, (0, 0b01))
+
+
+def first_row_fault(n, adj):
+    """Oracle helper: the message Graph(n, adj) must raise, or None.  Every
+    row is checked for range and loops before any pair for symmetry."""
+    for v, row in enumerate(adj):
+        if row >> n:
+            return f"row {v} refers to vertices >= {n}"
+        if row >> v & 1:
+            return f"loop at vertex {v}"
+    for v in range(n):
+        for u in range(n):
+            if adj[v] >> u & 1 and not adj[u] >> v & 1:
+                return f"asymmetric adjacency {v},{u}"
+    return None
+
+
+def test_graph_validation_names_the_first_fault():
+    rng = random.Random(29)
+    for _ in range(3000):
+        n = rng.randrange(1, 9)
+        rows = list(rand_graph(rng, n, rng.random()).adj)
+        for _ in range(rng.randrange(0, 3)):
+            rows[rng.randrange(n)] ^= 1 << rng.randrange(n + rng.choice([0, 0, 0, 1]))
+        want = first_row_fault(n, rows)
+        if want is None:
+            assert Graph(n, tuple(rows)).adj == tuple(rows)
+        else:
+            with pytest.raises(ValueError) as err:
+                Graph(n, tuple(rows))
+            assert str(err.value) == want, rows
 
 
 def test_basic_queries():
@@ -236,6 +273,7 @@ def test_maximal_cliques_edge_cases():
 
 
 def brute_max_stable(g):
+    """Oracle helper: alpha and every maximum stable set, lexicographic."""
     best = 0
     sets = []
     for r in range(g.n, 0, -1):
@@ -253,10 +291,38 @@ def test_max_stable_sets_against_brute_force():
     for _ in range(40):
         n = rng.randrange(1, 9)
         g = rand_graph(rng, n, rng.choice([0.2, 0.5, 0.8]))
-        alpha, family = max_stable_sets(g)
-        b_alpha, b_family = brute_max_stable(g)
-        assert alpha == b_alpha
-        assert sorted(family) == sorted(b_family)
+        assert max_stable_sets(g) == brute_max_stable(g), g.adj
+    for n in range(1, 7):
+        for g in nonisomorphic_graphs(n):
+            assert max_stable_sets(g) == brute_max_stable(g), g.adj
+
+
+def complete_multipartite(sizes):
+    part = [i for i, size in enumerate(sizes) for _ in range(size)]
+    return make_graph(len(part), [(u, v) for u, v in combinations(range(len(part)), 2) if part[u] != part[v]])
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        empty_graph(1),
+        empty_graph(7),
+        # disjoint K2s on interleaved labels: 2^(n/2) maximum stable sets
+        make_graph(8, [(0, 4), (1, 5), (2, 6), (3, 7)]),
+        make_graph(12, [(v, v + 1) for v in range(0, 12, 2)]),
+        cycle_graph(5),
+        cycle_graph(7),
+        complete_graph(4),
+        complete_multipartite([3, 3, 3]),
+        complete_multipartite([1, 4, 2, 4]),
+        complete_multipartite([2, 2, 2, 2, 2]),
+    ],
+    ids=lambda g: f"n{g.n}e{g.edge_count()}",
+)
+def test_max_stable_sets_on_tie_heavy_graphs(g):
+    # many maximum stable sets of one size: the family and its order must
+    # survive the clique-cover cut, which keeps ties
+    assert max_stable_sets(g) == brute_max_stable(g)
 
 
 def test_max_stable_sets_against_the_complement_on_corpus_sized_graphs():
@@ -270,7 +336,9 @@ def test_max_stable_sets_against_the_complement_on_corpus_sized_graphs():
         g = make_graph(n, rng.sample(pairs, m))
         co = complement(g)
         alpha = clique_number(co)
-        assert max_stable_sets(g) == (alpha, enumerate_cliques(co, alpha)), g.adj
+        got = max_stable_sets(g)
+        assert got == (alpha, enumerate_cliques(co, alpha)), g.adj
+        assert got == reference_max_stable_sets(g), g.adj
 
 
 def brute_twin_classes(g):

@@ -653,6 +653,19 @@ def test_min_search_matches_the_scan_without_lemma(t, k, n):
     assert r.to_json()["refuted"] == r.refuted
 
 
+@pytest.mark.parametrize("k, n", [(3, 3), (5, 5), (5, 7)])
+def test_min_search_skips_the_lemma_for_t_2(monkeypatch, k, n):
+    # every set holds a K_0, so no non-edge refutes a class when t = 2
+    def unreachable(g, t):
+        raise AssertionError("refutation scan reached for t = 2")
+
+    monkeypatch.setattr(verify, "_refuting_non_edge", unreachable)
+    r = min_cocritical_search(2, k, n)
+    got = (r.minimum_edges, [emit_graph6(w) for w in r.witnesses], r.examined, r.complete)
+    assert got == scan_without_lemma(2, k, n)
+    assert r.refuted == 0 and r.examined > 0
+
+
 # --- the order bound of min_cocritical_search --------------------------------
 
 
