@@ -23,12 +23,11 @@ Four rules prune the walk, each argued in _walk_partitions:
   clique of g must meet more than t-1 blocks is dropped.  This and the
   forced-merge rule cut only subtrees without a leaf, so every search visits
   the same leaves in the same order;
-- the twin rule, only in the co-criticality walk (verify.is_cocritical sets
-  the walk's twins flag, and the walk derives the twin masks from g): of
+- the twin rule, in every walk (the walk derives the twin masks from g): of
   partitions that differ by permuting twins, only the lex-leader is kept.
   It acts while a block grows: a candidate whose lower twin would be left
   outside the block is never added, so no block that breaks the rule is
-  built.  The standalone searches here visit every good partition.
+  built.
 
 Every walk returns its first leaf as a BlockPartition, re-checked by
 _assert_witness independently of the walker, or None when it reached no
@@ -132,8 +131,9 @@ class _Stop(Exception):
     pass
 
 
-def _walk_partitions(g: Graph, t: int, k: int, budget: SearchBudget, on_partition, twins: bool = False):
-    """Visit every connected-block partition with a clique-free cross graph.
+def _walk_partitions(g: Graph, t: int, k: int, budget: SearchBudget, on_partition):
+    """Visit every connected-block partition with a clique-free cross graph
+    that obeys the twin rule.
 
     on_partition(blocks) gets the list of block masks of each complete
     partition (a list the walker goes on reusing) and returns True to stop
@@ -206,7 +206,7 @@ def _walk_partitions(g: Graph, t: int, k: int, budget: SearchBudget, on_partitio
     fail_fast's first settling leaf and the max-red tie-break are the same
     with or without it.
 
-    With twins set, the walk takes per vertex the mask of its twins
+    Twin rule.  The walk takes per vertex the mask of its twins
     (graphs.twin_masks) with smaller ids, and keeps only the partitions that
     obey the lex-leader rule of Crawford, Ginsberg, Luks and Roy (KR 1996):
     a block may hold twin w only if every lower twin of w is in an earlier
@@ -256,7 +256,7 @@ def _walk_partitions(g: Graph, t: int, k: int, budget: SearchBudget, on_partitio
     need = t - 2
     # (index of its count in the tail of cross, mask) per large maximal clique
     capacity = list(enumerate(maximal_cliques(g, 2 * k, CAPACITY_CLIQUE_CAP), g.n))
-    lower = [m & ((1 << v) - 1) for v, m in enumerate(twin_masks(g))] if twins else []
+    lower = [m & ((1 << v) - 1) for v, m in enumerate(twin_masks(g))]
     has_lower = sum(1 << v for v, m in enumerate(lower) if m)
     blocks: list[int] = []
     first: list[int] | None = None
@@ -401,7 +401,9 @@ def _assert_witness(rows: Sequence[int], t: int, k: int, blocks: Sequence[int]) 
 
 
 def exists_critical_coloring(g: Graph, t: int, k: int, budget: SearchBudget = SearchBudget()) -> SearchOutcome:
-    """Decide whether g admits a good coloring; found outcomes carry a partition."""
+    """Decide whether g admits a good coloring; found outcomes carry the
+    walk's first leaf, which is also the first leaf of the walk without the
+    twin rule (_walk_partitions, "Walk order")."""
     status, nodes, millis, witness = _walk_partitions(g, t, k, budget, lambda blocks: True)
     return SearchOutcome(status, witness, nodes, millis)
 
@@ -507,11 +509,14 @@ def _max_red_step(g: Graph, t: int, blocks: list[int], best: list, deadline: flo
 def max_red_critical_coloring(g: Graph, t: int, k: int, budget: SearchBudget = SearchBudget()) -> EdgeColoring:
     """A good coloring with the most red edges; first in canonical order on ties.
 
-    Minimizing blue is the same thing.  Every leaf of the full walk goes
-    through _max_red_step, which keeps the leaf's least good refinement in
+    Minimizing blue is the same thing.  Every leaf of the walk goes through
+    _max_red_step, which keeps the leaf's least good refinement in
     (len(blue), blue) order if that has fewer blue edges than the best so
-    far.  Across partitions the first one found in walk order wins a tie.
-    Only the answer is built as an EdgeColoring.
+    far.  Improvements are strict, so the answer is the least good
+    refinement of the first leaf, in walk order, with the fewest blue edges
+    m; twin swaps preserve having a refinement with m blue edges, so that is
+    the answer of the walk without the twin rule too (_walk_partitions,
+    "Walk order").  Only the answer is built as an EdgeColoring.
     """
     best: list = []  # blue edges of the max-red refinement so far
     deadline = time.perf_counter() + budget.time_cap

@@ -8,9 +8,9 @@ partitions of g once and asks at each leaf which non-edges it would let
 back in.  It keeps the three possible answers apart: co-critical,
 demonstrably not, or indeterminate because the budget ran out.  The same
 walk keeps the maximum-red good coloring, which a co-critical report carries.
-It skips partitions that differ from a visited one only by permuting twin
-vertices, and a non-edge settled there settles every non-edge of its twin
-type.
+Like every walk, it skips partitions that differ from a visited one only by
+permuting twin vertices, and a non-edge settled there settles every non-edge
+of its twin type.
 
 The structural checks take the report alone and read the graph, (t, k)
 and that coloring off it, so they walk nothing again.  They translate what
@@ -146,10 +146,10 @@ def is_cocritical(
     splitting the block leaves the cross graph unchanged and (2) holds.
 
     Twins.  The walk keeps only the partitions that obey the lex-leader twin
-    rule (search._walk_partitions with twins set): every orbit of good
-    partitions under permutations inside twin classes has a member that
-    obeys it.  A non-edge's type is the unordered pair of its ends' twin
-    classes; a permutation inside the classes sends any non-edge of a type
+    rule (search._walk_partitions): every orbit of good partitions under
+    permutations inside twin classes has a member that obeys it.  A
+    non-edge's type is the unordered pair of its ends' twin classes; a
+    permutation inside the classes sends any non-edge of a type
     to any other and g+uv onto g+u'v', so the non-edges of one type all
     arrow or all do not.  A leaf that settles uv settles its whole type, and
     the orbit argument shows that every type some good partition settles is
@@ -168,26 +168,18 @@ def is_cocritical(
     its nodes and millis.  Every non-edge is checked, in g.non_edges() order,
     except that under fail_fast a stopped walk checks only the first
     non-edge, in that order, that its stopping leaf settled itself (report
-    marked incomplete when others remain).
-    That leaf is the full walk's first settling leaf too (see below), so the
-    reported non-edge is as well.
+    marked incomplete when others remain).  That leaf is the walk's first
+    settling leaf.  Twin swaps preserve being a leaf and settling some
+    non-edge, so by search._walk_partitions, "Walk order", the base witness
+    and the first settling leaf are also those of the walk without the twin
+    rule.
 
     Without fail_fast, every leaf also goes to search._max_red_step until a
-    non-edge is settled, and a co-critical report (nothing settled, walk
-    exhausted) carries the max-red coloring that max_red_critical_coloring
-    returns.  Both run that one leaf step over their leaves in walk order: it
-    keeps the leaf's least good refinement in (len(blue), blue) order if
-    that has fewer blue edges than the best so far.  The standalone search
-    takes every leaf of the full walk.  Improvements are strict, so its
-    answer is the least good refinement of the first leaf, in walk order,
-    that has one with the fewest blue edges m.  The twin rule keeps that:
-    having a good refinement with m blue edges, like settling some non-edge
-    or being a leaf at all, is a property twin permutations preserve, and
-    the first leaf of the full walk with such a property obeys the rule
-    (search._walk_partitions, "Walk order").  So the base witness, the first
-    settling leaf and the leaf that holds the max-red coloring are the full
-    walk's.  A fail_fast walk may stop at any settling leaf, so it keeps no
-    coloring.
+    non-edge is settled.  A co-critical report (nothing settled, walk
+    exhausted) has put every leaf of the walk through that step, which is
+    what max_red_critical_coloring does, so it carries the coloring that
+    max_red_critical_coloring returns.  A fail_fast walk may stop at any
+    settling leaf, so it keeps no coloring.
     """
     deadline = time.perf_counter() + budget.time_cap
     adj, limit, need = g.adj, k - 1, t - 2
@@ -226,7 +218,7 @@ def is_cocritical(
             _max_red_step(g, t, blocks, best, deadline)
         return not open_edges
 
-    status, nodes, millis, base_witness = _walk_partitions(g, t, k, budget, on_partition, twins=True)
+    status, nodes, millis, base_witness = _walk_partitions(g, t, k, budget, on_partition)
     if base_witness is None:
         # no good base coloring, or none found within the budget
         return CocriticalReport(t, k, len(non_edges), status, None, (), nodes, millis, True)

@@ -1,11 +1,17 @@
 """Test-side oracles: slower, simpler routes to what the library computes.
 
-enumerate_critical_colorings walks the good partitions without the twin rule
-and takes every item of each leaf's good refinements; brute_force_critical_colorings
-scans all 2^e colorings.  The tests check each against the other and use them
-to cross-check the library's queries.  Both reach the walk, the scan and
-make_coloring through the search module, so a test that patches one of
-those there sees their calls.
+ruleless_walk is the partition walk without the clique-capacity lookahead,
+and without the twin rule and the forced-merge lookahead unless asked for
+them; it shares no walk code with the library.  Every library walk applies
+the twin rule, so ruleless_walk is the reference for every good partition
+in walk order, and obeys tells which of them the twin rule keeps.
+
+enumerate_critical_colorings walks the good partitions with ruleless_walk
+and no rules and takes every item of each leaf's good refinements;
+brute_force_critical_colorings scans all 2^e colorings.  The tests check
+each against the other and use them to cross-check the library's queries.
+Both reach _good_refinements, the scan and make_coloring through the search
+module, so a test that patches one of those there sees their calls.
 
 reference_parse_graph6 decodes graph6 bit by bit and reference_max_stable_sets
 searches stable sets with the popcount cut alone; the library's
@@ -17,9 +23,120 @@ import time
 
 from cocritical import search
 from cocritical.coloring import EdgeColoring
-from cocritical.graphs import MAX_ORDER, Graph, iter_bits
+from cocritical.graphs import MAX_ORDER, Graph, _clique_rec, iter_bits, twin_masks
+from cocritical.search import EXHAUSTED, FOUND
 
 ENUMERATION_CAP = 10**6
+
+
+def lower_twins(g):
+    """Per vertex, the mask of its twins with smaller ids."""
+    return [m & ((1 << v) - 1) for v, m in enumerate(twin_masks(g))]
+
+
+class OracleStop(Exception):
+    pass
+
+
+def ruleless_walk(g, t, k, on_partition, lower_twins=None, forced_merge=False):
+    """The partition walk without the clique-capacity lookahead, as a
+    test-local oracle: blocks grown in the same order, the clique test on new
+    cross edges and the twin rule, plus the forced-merge lookahead when
+    forced_merge is set, and nothing else.  Returns (status, nodes)."""
+    adj, limit, need = g.adj, k - 1, t - 2
+    has_lower = 0 if lower_twins is None else sum(1 << v for v, m in enumerate(lower_twins) if m)
+    blocks = []
+    nodes = 0
+
+    def place(unassigned, cross):
+        if unassigned == 0:
+            if on_partition(blocks):
+                raise OracleStop
+            return
+        v0_bit = unassigned & -unassigned
+        grow(v0_bit, adj[v0_bit.bit_length() - 1], 0, unassigned, cross)
+
+    def grow(block, reach, forbidden, unassigned, cross):
+        attempt(block, unassigned, cross)
+        if block.bit_count() == limit:
+            return
+        cand = reach & unassigned & ~block & ~forbidden
+        used = 0
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            grow(block | low, reach | adj[low.bit_length() - 1], forbidden | used, unassigned, cross)
+            used |= low
+
+    def attempt(block, unassigned, cross):
+        nonlocal nodes
+        nodes += 1
+        rest = unassigned & ~block
+        # low-bit while loops, as in the walk: iter_bits generators would
+        # cost more than the walk under test
+        twins = block & has_lower
+        while twins:
+            w_bit = twins & -twins
+            twins ^= w_bit
+            if lower_twins[w_bit.bit_length() - 1] & rest:
+                return
+        cross = cross[:]
+        us = block
+        while us:
+            u_bit = us & -us
+            us ^= u_bit
+            u = u_bit.bit_length() - 1
+            ws = adj[u] & rest
+            while ws:
+                w_bit = ws & -ws
+                ws ^= w_bit
+                w = w_bit.bit_length() - 1
+                cross[u] |= w_bit
+                cross[w] |= u_bit
+                if _clique_rec(cross, cross[u] & cross[w], need):
+                    return
+        if forced_merge and rest.bit_count() > limit:
+            group = {}
+            ws = rest
+            while ws:
+                w_bit = ws & -ws
+                ws ^= w_bit
+                w = w_bit.bit_length() - 1
+                xs = adj[w] & ws  # the neighbours of w in the rest above w
+                while xs:
+                    x_bit = xs & -xs
+                    xs ^= x_bit
+                    x = x_bit.bit_length() - 1
+                    if _clique_rec(cross, cross[w] & cross[x], need):
+                        merged = group.get(w, w_bit) | group.get(x, x_bit)
+                        if merged.bit_count() > limit:
+                            return
+                        ys = merged
+                        while ys:
+                            y_bit = ys & -ys
+                            ys ^= y_bit
+                            group[y_bit.bit_length() - 1] = merged
+        blocks.append(block)
+        place(rest, cross)
+        blocks.pop()
+
+    try:
+        place(g.vertex_mask, [0] * g.n)
+    except OracleStop:
+        return FOUND, nodes
+    return EXHAUSTED, nodes
+
+
+def obeys(leaf, lower):
+    """Does the leaf, its blocks in walk order, obey the twin rule: does each
+    block hold a twin only when every lower twin of it is in that block or
+    an earlier one?"""
+    assigned = 0
+    for block in leaf:
+        assigned |= block
+        if any(lower[w] & ~assigned for w in range(len(lower)) if block >> w & 1):
+            return False
+    return True
 
 
 def enumerate_critical_colorings(
@@ -27,11 +144,10 @@ def enumerate_critical_colorings(
 ) -> list[EdgeColoring]:
     """All good colorings, ordered by partition then blue edge set.
 
-    The result is truncated at ENUMERATION_CAP; running out of nodes or
-    time before the space is exhausted raises instead, because a partial
-    answer to "list them all" is not an answer.  Each leaf's colorings come
-    from search._good_refinements, which also checks the time cap; an
-    EdgeColoring is built only for each coloring returned.
+    The result is truncated at ENUMERATION_CAP.  A walk of more nodes than
+    the node cap, or a time cap passed in search._good_refinements, raises
+    instead, because a partial answer to "list them all" is not an answer.
+    An EdgeColoring is built only for each coloring returned.
     """
     results: list[tuple[tuple, tuple]] = []
     deadline = time.perf_counter() + budget.time_cap
@@ -43,9 +159,12 @@ def enumerate_critical_colorings(
         )
         return len(results) >= ENUMERATION_CAP
 
-    status, nodes, _, _ = search._walk_partitions(g, t, k, budget, on_partition)
-    if status == search.BUDGET_EXCEEDED:
-        raise search.IndeterminateResultError(f"enumeration incomplete after {nodes} nodes")
+    try:
+        _, nodes = ruleless_walk(g, t, k, on_partition)
+    except search._BudgetHit:
+        raise search.IndeterminateResultError("enumeration incomplete within the time cap") from None
+    if nodes > budget.node_cap:
+        raise search.IndeterminateResultError(f"enumeration incomplete within {budget.node_cap} nodes")
     results.sort()
     return [search.make_coloring(g, blue) for _, blue in results[:ENUMERATION_CAP]]
 

@@ -26,12 +26,14 @@ from cocritical.construction import (
     turan_edges,
     upper_bound_edges,
 )
+from cocritical.graph6 import emit_graph6
 from cocritical.graphs import add_edge, complete_graph, make_graph
 from cocritical.percolation import run as percolation_run
 from cocritical.search import (
     arrows,
     brute_force_exists,
     exists_critical_coloring,
+    max_red_critical_coloring,
 )
 from cocritical.stable import hajnal_check, stable_intersection_check
 from cocritical.verify import (
@@ -298,3 +300,23 @@ def test_a9_theorem_regime_4_6_33_verified():
 def test_a10_theorem_regime_4_7_45_verified():
     # k = 7 >= max{6, t}: the smallest construction with k = 7
     check_theorem_regime_instance(10, 4, 7, 45, 615, 132421)
+
+
+def test_a11_theorem_regime_4_6_33_max_red_and_percolation():
+    # the standalone max-red search walks with the twin rule, as the
+    # verifier does: on (4,6,33) it returns the coloring the verifier
+    # keeps, and percolate derives its certificate from it
+    t0 = time.perf_counter()
+    problems = []
+    g = build(ConstructionParams(4, 6, 33))
+    if max_red_critical_coloring(g, 4, 6) != is_cocritical(g, 4, 6).coloring:
+        problems.append("max-red coloring differs from the verifier's")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["percolate", "--graph6", emit_graph6(g), "--t", "4", "--k", "6", "--q", "4"])
+    res = json.loads(out.getvalue())["results"]
+    if code != 0 or res.get("certified") is not True:
+        problems.append(f"percolate exit {code}, certified {res.get('certified')}")
+    elapsed = time.perf_counter() - t0
+    report(11, "max-red search on (4,6,33) matches the verifier and percolate --q 4 certifies it",
+           problems, f"{elapsed:.1f}s")

@@ -202,7 +202,7 @@ def test_block_lists_in_json_are_ascending_vertex_lists(capsys):
 def test_arrows_budget(capsys):
     code, doc = run_json(
         capsys,
-        "arrows", "--complete", "7", "--t", "4", "--k", "3", "--node-cap", "5",
+        "arrows", "--complete", "7", "--t", "4", "--k", "3", "--node-cap", "1",
     )
     assert code == 3
     assert doc["results"]["arrows"] is None
@@ -580,7 +580,7 @@ REPORT_EXITS = {
     "arrows-0": ("arrows --complete 5 --t 3 --k 3", 0, "total_ms", "arrows: True"),
     "arrows-1": ("arrows --complete 4 --t 3 --k 3", 1, "total_ms", "arrows: False"),
     "arrows-3": (
-        "arrows --complete 7 --t 4 --k 3 --node-cap 5", 3, "total_ms",
+        "arrows --complete 7 --t 4 --k 3 --node-cap 1", 3, "total_ms",
         "indeterminate: budget exhausted",
     ),
     "percolate-0-blueprint": (

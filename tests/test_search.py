@@ -1,17 +1,26 @@
 """Partition-walking search against the independent 2^e brute-force oracle
-and against test-local walks without the forced-merge and clique-capacity
-lookaheads, plus the arrowing thresholds it must reproduce."""
+and against the test-side walk without the twin rule and the forced-merge
+and clique-capacity lookaheads, plus the arrowing thresholds it must
+reproduce."""
 
 import random
+from functools import cache
 from itertools import combinations, product
 
 import pytest
-from oracles import brute_force_critical_colorings, enumerate_critical_colorings
+from oracles import (
+    brute_force_critical_colorings,
+    enumerate_critical_colorings,
+    lower_twins,
+    obeys,
+    ruleless_walk,
+)
 from test_graphs import is_connected_mask
 
 from cocritical import search, verify
 from cocritical.canon import nonisomorphic_graphs
 from cocritical.coloring import (
+    BlockPartition,
     cross_graph,
     is_critical,
     make_coloring,
@@ -28,7 +37,6 @@ from cocritical.graphs import (
     has_clique,
     iter_bits,
     make_graph,
-    twin_masks,
 )
 from cocritical.search import (
     BUDGET_EXCEEDED,
@@ -155,16 +163,16 @@ def test_max_red_minimizes_blue():
 
 
 def test_budget_statuses():
-    # the whole walk of K_7 takes 7 nodes
+    # the whole walk of K_7 takes 2 nodes, the ruleless oracle's 164
     g = complete_graph(7)
-    outcome = exists_critical_coloring(g, 4, 3, SearchBudget(node_cap=5))
+    outcome = exists_critical_coloring(g, 4, 3, SearchBudget(node_cap=1))
     assert outcome.status == BUDGET_EXCEEDED
     assert outcome.witness is None
-    assert outcome.nodes <= 6  # the node that trips the cap is counted
+    assert outcome.nodes <= 2  # the node that trips the cap is counted
     with pytest.raises(IndeterminateResultError):
-        arrows(g, 4, 3, SearchBudget(node_cap=5))
+        arrows(g, 4, 3, SearchBudget(node_cap=1))
     with pytest.raises(IndeterminateResultError, match="enumeration incomplete"):
-        enumerate_critical_colorings(g, 4, 3, SearchBudget(node_cap=5))
+        enumerate_critical_colorings(g, 4, 3, SearchBudget(node_cap=163))
 
 
 def test_assert_witness_rejects_each_bad_witness():
@@ -316,12 +324,12 @@ def check_good_refinements(g, t, blocks):
 
 
 def test_good_refinements_match_the_product_on_small_classes():
-    # every leaf of every class on 1-6 vertices
+    # every good partition of every class on 1-6 vertices
     leaves = 0
     for n in range(1, 7):
         for g in nonisomorphic_graphs(n):
             for t, k in PAIRS:
-                for blocks in walk_leaves(g, t, k):
+                for blocks in oracle_leaves(g, t, k):
                     check_good_refinements(g, t, list(blocks))
                     leaves += 1
     assert leaves == 7910
@@ -388,16 +396,18 @@ def set_partitions(items):
         yield [[first]] + part
 
 
+@cache
 def reference_good_partitions(g, t, k):
     """Good partitions by definition: connected blocks of at most k-1
-    vertices whose cross graph holds no K_t."""
+    vertices whose cross graph holds no K_t.  Cached, since both walks are
+    checked against it."""
     good = set()
     for part in set_partitions(list(range(g.n))):
         if any(len(b) > k - 1 or not is_connected_mask(g, bitmask(b)) for b in part):
             continue
         if not has_clique(cross_graph(g, make_partition(part)), t):
             good.add(frozenset(bitmask(b) for b in part))
-    return good
+    return frozenset(good)
 
 
 def walk_leaves(g, t, k):
@@ -409,11 +419,31 @@ def walk_leaves(g, t, k):
     return leaves
 
 
+def oracle_leaves(g, t, k):
+    """The leaves of the ruleless oracle: every good partition."""
+    leaves = []
+    ruleless_walk(g, t, k, lambda blocks: leaves.append(frozenset(blocks)))
+    return leaves
+
+
 def test_walk_leaves_are_the_good_partitions():
+    # the good partitions that obey the twin rule, each once
+    for n in range(1, 7):
+        for g in nonisomorphic_graphs(n):
+            lower = lower_twins(g)
+            for t, k in PAIRS:
+                leaves = walk_leaves(g, t, k)
+                assert len(set(leaves)) == len(leaves)
+                good = reference_good_partitions(g, t, k)
+                want = {leaf for leaf in good if obeys(sorted(leaf, key=lambda m: m & -m), lower)}
+                assert set(leaves) == want, (g.adj, t, k)
+
+
+def test_oracle_leaves_are_the_good_partitions():
     for n in range(1, 7):
         for g in nonisomorphic_graphs(n):
             for t, k in PAIRS:
-                leaves = walk_leaves(g, t, k)
+                leaves = oracle_leaves(g, t, k)
                 assert len(set(leaves)) == len(leaves)
                 assert set(leaves) == reference_good_partitions(g, t, k), (g.adj, t, k)
 
@@ -444,33 +474,30 @@ def test_time_cap_stops_a_short_walk_within_64_nodes(monkeypatch):
     # 1 and every 64 nodes after, so even a walk of fewer than 1,024 nodes
     # stops at the next read, 64 nodes after the deadline passed
     g = build(ConstructionParams(4, 4, 18))
-    status, total, _, _ = _walk_partitions(g, 4, 4, SearchBudget(), lambda blocks: False, twins=True)
+    status, total, _, _ = _walk_partitions(g, 4, 4, SearchBudget(), lambda blocks: False)
     assert status == EXHAUSTED and total == 542
     for reads in range(total // 64 + 1):
         clock = iter([0.0] * (1 + reads))
         monkeypatch.setattr(search.time, "perf_counter", lambda: next(clock, 1.0))
-        status, nodes, _, _ = _walk_partitions(
-            g, 4, 4, SearchBudget(time_cap=0.5), lambda blocks: False, twins=True
-        )
+        status, nodes, _, _ = _walk_partitions(g, 4, 4, SearchBudget(time_cap=0.5), lambda blocks: False)
         assert (status, nodes) == (BUDGET_EXCEEDED, 64 * reads + 1)
 
 
 def test_walk_returns_its_first_leaf():
-    # with and without the twin rule, the walk's first is the first leaf
-    # on_partition saw, as a partition, or None when it saw none
+    # the walk's first is the first leaf on_partition saw, as a partition,
+    # or None when it saw none
     reached = {True: 0, False: 0}
     for g in [empty_graph(0)] + [g for n in range(1, 6) for g in nonisomorphic_graphs(n)]:
         for t, k in PAIRS:
-            for twins in (False, True):
-                seen = []
+            seen = []
 
-                def on_partition(blocks):
-                    seen.append([list(iter_bits(m)) for m in blocks])
-                    return False
+            def on_partition(blocks):
+                seen.append([list(iter_bits(m)) for m in blocks])
+                return False
 
-                _, _, _, first = _walk_partitions(g, t, k, SearchBudget(), on_partition, twins)
-                assert first == (make_partition(seen[0]) if seen else None), (g.adj, t, k)
-                reached[first is not None] += 1
+            _, _, _, first = _walk_partitions(g, t, k, SearchBudget(), on_partition)
+            assert first == (make_partition(seen[0]) if seen else None), (g.adj, t, k)
+            reached[first is not None] += 1
     assert reached[True] and reached[False]
     for t, k in PAIRS:
         assert _walk_partitions(empty_graph(0), t, k, SearchBudget(), lambda blocks: True)[3] == make_partition([])
@@ -498,133 +525,35 @@ def test_every_query_rechecks_its_first_leaf(monkeypatch):
     for query in (
         exists_critical_coloring,
         max_red_critical_coloring,
-        enumerate_critical_colorings,
         verify.is_cocritical,
     ):
         with pytest.raises(Rechecked):
             query(g, 4, 3)
 
 
-def lower_twins(g):
-    """Per vertex, the mask of its twins with smaller ids."""
-    return [m & ((1 << v) - 1) for v, m in enumerate(twin_masks(g))]
-
-
-class OracleStop(Exception):
-    pass
-
-
-def ruleless_walk(g, t, k, on_partition, lower_twins=None, forced_merge=False):
-    """The partition walk without the clique-capacity lookahead, as a
-    test-local oracle: blocks grown in the same order, the clique test on new
-    cross edges and the twin rule, plus the forced-merge lookahead when
-    forced_merge is set, and nothing else.  Returns (status, nodes)."""
-    adj, limit, need = g.adj, k - 1, t - 2
-    has_lower = 0 if lower_twins is None else sum(1 << v for v, m in enumerate(lower_twins) if m)
-    blocks = []
-    nodes = 0
-
-    def place(unassigned, cross):
-        if unassigned == 0:
-            if on_partition(blocks):
-                raise OracleStop
-            return
-        v0_bit = unassigned & -unassigned
-        grow(v0_bit, adj[v0_bit.bit_length() - 1], 0, unassigned, cross)
-
-    def grow(block, reach, forbidden, unassigned, cross):
-        attempt(block, unassigned, cross)
-        if block.bit_count() == limit:
-            return
-        cand = reach & unassigned & ~block & ~forbidden
-        used = 0
-        while cand:
-            low = cand & -cand
-            cand ^= low
-            grow(block | low, reach | adj[low.bit_length() - 1], forbidden | used, unassigned, cross)
-            used |= low
-
-    def attempt(block, unassigned, cross):
-        nonlocal nodes
-        nodes += 1
-        rest = unassigned & ~block
-        # low-bit while loops, as in the walk: iter_bits generators would
-        # cost more than the walk under test
-        twins = block & has_lower
-        while twins:
-            w_bit = twins & -twins
-            twins ^= w_bit
-            if lower_twins[w_bit.bit_length() - 1] & rest:
-                return
-        cross = cross[:]
-        us = block
-        while us:
-            u_bit = us & -us
-            us ^= u_bit
-            u = u_bit.bit_length() - 1
-            ws = adj[u] & rest
-            while ws:
-                w_bit = ws & -ws
-                ws ^= w_bit
-                w = w_bit.bit_length() - 1
-                cross[u] |= w_bit
-                cross[w] |= u_bit
-                if _clique_rec(cross, cross[u] & cross[w], need):
-                    return
-        if forced_merge and rest.bit_count() > limit:
-            group = {}
-            ws = rest
-            while ws:
-                w_bit = ws & -ws
-                ws ^= w_bit
-                w = w_bit.bit_length() - 1
-                xs = adj[w] & ws  # the neighbours of w in the rest above w
-                while xs:
-                    x_bit = xs & -xs
-                    xs ^= x_bit
-                    x = x_bit.bit_length() - 1
-                    if _clique_rec(cross, cross[w] & cross[x], need):
-                        merged = group.get(w, w_bit) | group.get(x, x_bit)
-                        if merged.bit_count() > limit:
-                            return
-                        ys = merged
-                        while ys:
-                            y_bit = ys & -ys
-                            ys ^= y_bit
-                            group[y_bit.bit_length() - 1] = merged
-        blocks.append(block)
-        place(rest, cross)
-        blocks.pop()
-
-    try:
-        place(g.vertex_mask, [0] * g.n)
-    except OracleStop:
-        return FOUND, nodes
-    return EXHAUSTED, nodes
-
-
-def walk_in_order(g, t, k, lower):
+def walk_in_order(g, t, k):
     """((status, leaves in walk order), nodes) of the walk."""
     got = []
-    status, nodes, _, _ = _walk_partitions(
-        g, t, k, SearchBudget(), lambda blocks: got.append(tuple(blocks)), twins=lower is not None
-    )
+    status, nodes, _, _ = _walk_partitions(g, t, k, SearchBudget(), lambda blocks: got.append(tuple(blocks)))
     return (status, got), nodes
 
 
 def oracle_in_order(g, t, k, lower, forced_merge):
-    """((status, leaves in walk order), nodes) of the ruleless oracle."""
+    """((status, leaves in walk order), nodes) of the ruleless oracle, its
+    leaves kept only where they obey the twin rule."""
     want = []
     status, nodes = ruleless_walk(g, t, k, lambda blocks: want.append(tuple(blocks)), lower, forced_merge)
-    return (status, want), nodes
+    twins = lower_twins(g)
+    return (status, [leaf for leaf in want if obeys(leaf, twins)]), nodes
 
 
-def leaf_sequences(g, t, k, twins, forced_merge=False):
+def leaf_sequences(g, t, k, oracle_twins, forced_merge=False):
     """(status, leaves) of the walk and of the ruleless oracle, in walk order,
-    and the node counts of both."""
-    lower = lower_twins(g) if twins else None
-    mine, nodes = walk_in_order(g, t, k, lower)
-    oracle, oracle_nodes = oracle_in_order(g, t, k, lower, forced_merge)
+    and the node counts of both.  The oracle applies the twin rule itself
+    when oracle_twins is set; otherwise it walks every good partition and
+    only the rule-obeying ones are compared."""
+    mine, nodes = walk_in_order(g, t, k)
+    oracle, oracle_nodes = oracle_in_order(g, t, k, lower_twins(g) if oracle_twins else None, forced_merge)
     return mine, oracle, nodes, oracle_nodes
 
 
@@ -633,27 +562,28 @@ CAPACITY_PAIRS = PAIRS + ((3, 5), (4, 4))
 
 def test_lookahead_keeps_the_leaf_sequence():
     # the lookaheads cut only subtrees without a leaf: on every class on 1-7
-    # vertices, with and without the twin rule, the walk gives the leaves of
-    # the oracle without the capacity rule (on CAPACITY_PAIRS) and of the
-    # oracle without either lookahead (on PAIRS), in the oracle's order; a
-    # class without twins walks the same either way, so it walks once
+    # vertices the walk gives the leaves of the oracle with the twin rule
+    # and without the capacity rule (on CAPACITY_PAIRS) and of the oracle
+    # with the twin rule and without either lookahead (on PAIRS), in the
+    # oracle's order; on PAIRS the capacity rule alone cuts fewer nodes than
+    # both lookaheads
     cut = {True: 0, False: 0}
     for n in range(1, 8):
         for g in nonisomorphic_graphs(n):
-            twins = lower_twins(g)
+            lower = lower_twins(g)
             for t, k in CAPACITY_PAIRS:
-                for lower in (None, twins) if any(twins) else (None,):
-                    mine, nodes = walk_in_order(g, t, k, lower)
-                    for forced_merge in (True, False) if (t, k) in PAIRS else (True,):
-                        oracle, oracle_nodes = oracle_in_order(g, t, k, lower, forced_merge)
-                        assert mine == oracle, (g.adj, t, k, lower, forced_merge)
-                        assert nodes <= oracle_nodes
+                mine, nodes = walk_in_order(g, t, k)
+                for forced_merge in (True, False) if (t, k) in PAIRS else (True,):
+                    oracle, oracle_nodes = oracle_in_order(g, t, k, lower, forced_merge)
+                    assert mine == oracle, (g.adj, t, k, forced_merge)
+                    assert nodes <= oracle_nodes
+                    if (t, k) in PAIRS:
                         cut[forced_merge] += oracle_nodes - nodes
     assert 0 < cut[True] < cut[False]
 
 
 @pytest.mark.parametrize(
-    "t, k, n, twins, oracle_nodes",
+    "t, k, n, oracle_twins, oracle_nodes",
     [
         (4, 3, 13, False, 306),
         (4, 3, 13, True, 306),
@@ -663,18 +593,19 @@ def test_lookahead_keeps_the_leaf_sequence():
         (4, 4, 18, True, 27428),
     ],
 )
-def test_lookahead_keeps_frozen_leaf_sequences(t, k, n, twins, oracle_nodes):
-    # the oracle's node counts are the walk sizes from before the lookaheads;
-    # the walk's own are pinned in tests/test_verify.py
+def test_lookahead_keeps_frozen_leaf_sequences(t, k, n, oracle_twins, oracle_nodes):
+    # the oracle's node counts are the walk sizes from before the lookaheads,
+    # with and without the twin rule; the walk's own are pinned in
+    # tests/test_verify.py
     mine, oracle, nodes, got_oracle_nodes = leaf_sequences(
-        build(ConstructionParams(t, k, n)), t, k, twins
+        build(ConstructionParams(t, k, n)), t, k, oracle_twins
     )
     assert mine == oracle and mine[1]
     assert got_oracle_nodes == oracle_nodes and nodes < oracle_nodes
 
 
 @pytest.mark.parametrize(
-    "t, k, n, twins, oracle_nodes",
+    "t, k, n, oracle_twins, oracle_nodes",
     [
         (4, 3, 13, False, 65),
         (4, 3, 13, True, 65),
@@ -685,11 +616,12 @@ def test_lookahead_keeps_frozen_leaf_sequences(t, k, n, twins, oracle_nodes):
         (4, 5, 28, True, 120883),
     ],
 )
-def test_capacity_rule_keeps_frozen_leaf_sequences(t, k, n, twins, oracle_nodes):
+def test_capacity_rule_keeps_frozen_leaf_sequences(t, k, n, oracle_twins, oracle_nodes):
     # the oracle's node counts are the walk sizes from before the capacity
-    # rule; the walk's own are pinned in tests/test_verify.py
+    # rule, with and without the twin rule; the walk's own are pinned in
+    # tests/test_verify.py
     mine, oracle, nodes, got_oracle_nodes = leaf_sequences(
-        build(ConstructionParams(t, k, n)), t, k, twins, True
+        build(ConstructionParams(t, k, n)), t, k, oracle_twins, True
     )
     assert mine == oracle and mine[1]
     assert got_oracle_nodes == oracle_nodes and nodes < oracle_nodes
@@ -700,7 +632,7 @@ def test_capacity_rule_cuts_k6_and_keeps_its_verdict():
     # three more blocks of at most two, and K_6 may meet only three blocks;
     # blocks of two meet it three times, so K_6 has good colorings
     g = complete_graph(6)
-    mine, oracle, nodes, oracle_nodes = leaf_sequences(g, 4, 3, False, True)
+    mine, oracle, nodes, oracle_nodes = leaf_sequences(g, 4, 3, True, True)
     assert mine == oracle
     assert nodes < oracle_nodes
     assert mine[1] and brute_force_exists(g, 4, 3)
@@ -709,17 +641,67 @@ def test_capacity_rule_cuts_k6_and_keeps_its_verdict():
 @pytest.mark.parametrize(
     "t, k, n, walk_nodes, oracle_nodes",
     [
-        (4, 4, 8, 1240, 1262),
-        (4, 4, 9, 1605, 1810),
-        (4, 4, 10, 46, 1136),
-        (4, 5, 10, 22522, 22615),
-        (4, 5, 11, 44696, 45756),
+        (4, 4, 8, 17, 88),
+        (4, 4, 9, 9, 108),
+        (4, 4, 10, 3, 134),
+        (4, 5, 10, 36, 389),
+        (4, 5, 11, 23, 525),
     ],
 )
 def test_capacity_rule_keeps_complete_graph_leaf_sequences(t, k, n, walk_nodes, oracle_nodes):
     # complete graphs at k >= 4, away from the construction graphs: the walk
-    # without the twin rule gives the leaves of the oracle without the
+    # gives the leaves of the oracle with the twin rule and without the
     # capacity rule, in its order, and the rule cuts nodes on every one
-    mine, oracle, nodes, got_oracle_nodes = leaf_sequences(complete_graph(n), t, k, False, True)
+    mine, oracle, nodes, got_oracle_nodes = leaf_sequences(complete_graph(n), t, k, True, True)
     assert mine == oracle
     assert (nodes, got_oracle_nodes) == (walk_nodes, oracle_nodes)
+
+
+def check_against_the_oracle(g, t, k, leaves, all_leaves=True):
+    """exists_critical_coloring's status and witness are the oracle's status
+    and first leaf; with all the oracle's leaves given, max_red_critical_coloring
+    is the least good refinement of the first leaf, in walk order, whose
+    least good refinement has the fewest blue edges.  A leaf is asked only
+    for refinements with fewer blue edges than the best so far."""
+    outcome = exists_critical_coloring(g, t, k)
+    assert (outcome.status, outcome.witness) == (
+        (FOUND, BlockPartition(leaves[0])) if leaves else (EXHAUSTED, None)
+    ), (g.adj, t, k)
+    if not all_leaves:
+        return
+    best = None
+    for leaf in leaves:
+        blue = next(_good_refinements(g, t, list(leaf), None if best is None else len(best)), None)
+        if blue is not None:
+            best = blue
+    if best is None:
+        with pytest.raises(NoCriticalColoringError):
+            max_red_critical_coloring(g, t, k)
+    else:
+        assert max_red_critical_coloring(g, t, k) == make_coloring(g, best), (g.adj, t, k)
+
+
+def test_standalone_queries_match_the_ruleless_oracle():
+    # the walks of both queries apply the twin rule and the lookaheads, the
+    # oracle none of them: their answers are the full walk's ("Walk order"
+    # in search._walk_partitions)
+    for n in range(1, 8):
+        for g in nonisomorphic_graphs(n):
+            for t, k in CAPACITY_PAIRS:
+                leaves = []
+                ruleless_walk(g, t, k, lambda blocks: leaves.append(tuple(blocks)))
+                check_against_the_oracle(g, t, k, leaves)
+    for t, k, n in ((4, 3, 13), (5, 3, 17), (4, 4, 18)):
+        g = build(ConstructionParams(t, k, n))
+        leaves = []
+        ruleless_walk(g, t, k, lambda blocks: leaves.append(tuple(blocks)))
+        assert leaves
+        check_against_the_oracle(g, t, k, leaves)
+    # the oracle needs about 16 s to exhaust (4,5,28) even with the
+    # forced-merge lookahead, so there it stops at its first leaf, and only
+    # exists_critical_coloring is checked
+    g = build(ConstructionParams(4, 5, 28))
+    leaves = []
+    ruleless_walk(g, 4, 5, lambda blocks: leaves.append(tuple(blocks)) or True, None, True)
+    assert leaves
+    check_against_the_oracle(g, 4, 5, leaves, all_leaves=False)

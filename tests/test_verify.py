@@ -5,8 +5,8 @@ import math
 from itertools import combinations
 
 import pytest
-from oracles import enumerate_critical_colorings
-from test_search import FROZEN_MAX_RED_BLUE, lower_twins
+from oracles import lower_twins, obeys, ruleless_walk
+from test_search import FROZEN_MAX_RED_BLUE
 
 from cocritical import cli, search, verify
 from cocritical.canon import GENERATION_ORDER_CAP, iter_classes, nonisomorphic_graphs
@@ -24,6 +24,7 @@ from cocritical.graphs import (
 )
 from cocritical.graph6 import emit_graph6, parse_graph6
 from cocritical.search import (
+    EXHAUSTED,
     FOUND,
     IndeterminateResultError,
     SearchBudget,
@@ -189,29 +190,29 @@ def test_structure_checks_walk_nothing(monkeypatch):
     assert got == want and want[0].all_passed()
 
 
-def _leaves(g, t, k, twins=False):
+def _leaves(g, t, k):
     leaves = []
 
     def on_partition(blocks):
         leaves.append(tuple(blocks))
         return False
 
-    _walk_partitions(g, t, k, SearchBudget(), on_partition, twins=twins)
+    _walk_partitions(g, t, k, SearchBudget(), on_partition)
+    return leaves
+
+
+def _oracle_leaves(g, t, k):
+    """Every good partition, in walk order, from the ruleless oracle."""
+    leaves = []
+    ruleless_walk(g, t, k, lambda blocks: leaves.append(tuple(blocks)))
     return leaves
 
 
 def test_twin_rule_keeps_one_leaf_per_orbit_in_walk_order():
-    # the pruned walk visits exactly the rule-obeying leaves of the full walk,
-    # in the same order, and every leaf of the full walk has a twin image
-    # (same per-class counts, block by block) at or before it among them
-    def obeys(leaf, lower):
-        assigned = 0
-        for block in leaf:
-            assigned |= block
-            if any(lower[w] & ~assigned for w in range(len(lower)) if block >> w & 1):
-                return False
-        return True
-
+    # the walk visits exactly the rule-obeying leaves of the ruleless
+    # oracle, in the same order, and every leaf of the oracle has a twin
+    # image (same per-class counts, block by block) at or before it among
+    # them
     pruned_away = 0
     for n in range(2, 7):
         for g in nonisomorphic_graphs(n):
@@ -226,8 +227,8 @@ def test_twin_rule_keeps_one_leaf_per_orbit_in_walk_order():
                 return tuple(sorted(counts))
 
             for t, k in ((3, 3), (3, 4), (4, 3), (3, 5)):
-                full = _leaves(g, t, k)
-                pruned = _leaves(g, t, k, twins=True)
+                full = _oracle_leaves(g, t, k)
+                pruned = _leaves(g, t, k)
                 assert pruned == [leaf for leaf in full if obeys(leaf, lower)]
                 seen = set()
                 for leaf in full:
@@ -262,39 +263,21 @@ def test_twin_image_maps_witnesses_within_a_type():
 
 @pytest.mark.parametrize(
     "t, k, n, pruned, full",
-    [(4, 3, 13, 60, 60), (5, 3, 17, 529, 529), (4, 4, 18, 542, 1659), (4, 5, 28, 4315, 123766)],
+    [(4, 3, 13, 60, 65), (5, 3, 17, 529, 696), (4, 4, 18, 542, 3562), (4, 5, 28, 4315, None)],
 )
 def test_twin_rule_walk_sizes(t, k, n, pruned, full):
-    # both walks have the lookaheads (the walks without them are pinned in
+    # pruned is the walk's size; full is the ruleless oracle's with the
+    # forced-merge lookahead, which walks every good partition (the walk
+    # sizes of the oracle with the twin rule are pinned in
     # tests/test_search.py); the twin pairs of (4,3,13) and (5,3,17) never
-    # trigger the twin rule
+    # trigger the twin rule, so there the capacity rule makes the whole
+    # difference; (4,5,28)'s full walk, 840,181 nodes, takes the oracle
+    # about 16 s, so it is not run
     g = build(ConstructionParams(t, k, n))
     report = is_cocritical(g, t, k)
     assert report.nodes == pruned
-    _, nodes, _, _ = _walk_partitions(g, t, k, SearchBudget(), lambda blocks: False)
-    assert nodes == full
-
-
-def test_twin_rule_only_in_cocriticality_walk(monkeypatch):
-    # the standalone searches walk without the twin rule (with the
-    # lookaheads, which keep every leaf), so they stay independent oracles
-    # of it
-    seen = []
-
-    def recording_walk(*args, twins=False, **kwargs):
-        seen.append(twins)
-        return _walk_partitions(*args, twins=twins, **kwargs)
-
-    monkeypatch.setattr(search, "_walk_partitions", recording_walk)
-    monkeypatch.setattr(verify, "_walk_partitions", recording_walk)
-    g = parse_graph6("DN{")  # co-critical for (3, 3), with twins
-    assert any(len(c) > 1 for c in twin_classes(g))
-    exists_critical_coloring(g, 3, 3)
-    enumerate_critical_colorings(g, 3, 3)
-    max_red_critical_coloring(g, 3, 3)
-    assert seen == [False, False, False]
-    is_cocritical(g, 3, 3)
-    assert seen[3] is True
+    if full is not None:
+        assert ruleless_walk(g, t, k, lambda blocks: False, None, True) == (EXHAUSTED, full)
 
 
 def test_complete_graph_is_never_cocritical():
@@ -337,13 +320,11 @@ def test_budget_indeterminate():
 
 
 def test_budget_runs_out_mid_walk():
-    # the first leaf (the base witness) comes at 108 nodes, 46 with the
-    # twin rule, and the pruned walk takes 542 (test_twin_rule_walk_sizes);
-    # the cap stops the one walk in between with every non-edge still open
+    # the first leaf (the base witness) comes at 46 nodes, and the walk
+    # takes 542 (test_twin_rule_walk_sizes); the cap stops the one walk in
+    # between with every non-edge still open
     g = build(ConstructionParams(4, 4, 18))
-    assert exists_critical_coloring(g, 4, 4).nodes == 108
-    first = _walk_partitions(g, 4, 4, SearchBudget(), lambda blocks: True, twins=True)
-    assert first[:2] == (FOUND, 46)
+    assert exists_critical_coloring(g, 4, 4).nodes == 46
     report = is_cocritical(g, 4, 4, SearchBudget(node_cap=500))
     assert report.base_status == FOUND and report.base_witness is not None
     assert report.failures == tuple((e, BUDGET) for e in g.non_edges())
@@ -411,7 +392,8 @@ def settles(g, t, k, leaf, edge):
 
 def test_fail_fast_reports_the_first_settling_leafs_first_non_edge():
     # the leaf step stops at the first non-edge it settles; that is the first
-    # one, in non-edge order, of the first leaf of the walk that settles any
+    # one, in non-edge order, of the first leaf that settles any, in the walk
+    # and in the ruleless oracle alike
     for n in range(2, 7):
         for g in nonisomorphic_graphs(n):
             non_edges = g.non_edges()
@@ -419,7 +401,7 @@ def test_fail_fast_reports_the_first_settling_leafs_first_non_edge():
                 continue
             for t, k in ((3, 3), (3, 4), (4, 3), (3, 5)):
                 expected = ()
-                for leaf in _leaves(g, t, k, twins=True):
+                for leaf in _oracle_leaves(g, t, k):
                     hits = [e for e in non_edges if settles(g, t, k, leaf, e)]
                     if hits:
                         expected = ((hits[0], STILL_COLORABLE),)
