@@ -34,7 +34,7 @@ from .construction import (
     upper_bound_edges,
 )
 from .graphs import Graph, complete_graph
-from .graph6 import emit_graph6, parse_graph6, parse_graph6_lines
+from .graph6 import emit_graph6, graph6_lines, parse_graph6, parse_graph6_lines
 from .percolation import PercolationError, check_seeds, check_threshold, run as percolation_run
 from .search import (
     BRUTE_FORCE_EDGE_CAP,
@@ -65,17 +65,21 @@ EXIT_USAGE = 2
 EXIT_INDETERMINATE = 3
 
 ORACLE_PAIRS = ((3, 3), (3, 4), (4, 3))
+PROPS_BATCH = 64  # props rows per json.dumps call
 
 
-def _emit(command: str, inputs: dict, results: dict, timings: dict) -> None:
-    report = {
+def _report(command: str, inputs: dict, results: dict, timings: dict) -> dict:
+    return {
         "command": command,
         "inputs": inputs,
         "results": results,
         "timings": {k: round(v, 3) for k, v in timings.items()},
         "version": __version__,
     }
-    print(json.dumps(report, indent=2))
+
+
+def _emit(command: str, inputs: dict, results: dict, timings: dict) -> None:
+    print(json.dumps(_report(command, inputs, results, timings), indent=2))
 
 
 def _say(msg: str) -> None:
@@ -199,7 +203,12 @@ def cmd_verify(args) -> int:
         "verify",
         {**source, "t": args.t, "k": args.k, "checks": args.checks},
         results,
-        {"parse_ms": parse_ms, "verify_ms": verify_ms, "checks_ms": checks_ms},
+        {
+            "parse_ms": parse_ms,
+            "verify_ms": verify_ms,
+            "walk_ms": report.millis,
+            "checks_ms": checks_ms,
+        },
     )
     verdict = report.verdict()
     _say(f"verdict: {verdict}")
@@ -345,39 +354,76 @@ def _props_one(g: Graph, line: str, budget: SearchBudget) -> tuple[dict, bool, b
     return row, ok, indeterminate
 
 
+def _rows_text(rows: list[dict], first: bool) -> str:
+    """rows as they stand inside the props report's "rows" list: the
+    json.dumps(rows, indent=2) text without its brackets, every line moved
+    four spaces right to the depth of results["rows"], and a separating
+    ",\n" unless these are the first rows.  Indenting after each newline is
+    exact because a JSON string never holds a raw newline."""
+    body = json.dumps(rows, indent=2)[2:-2].replace("\n", "\n    ")
+    return ("    " if first else ",\n    ") + body
+
+
+def _emit_props(report: dict, chunks: list[str]) -> None:
+    """Print report as _emit does, with its empty "rows" list filled by the
+    encoded chunks of _rows_text, written piece by piece.  The text
+    '"rows": []' matches only that key: a quote inside a JSON string is
+    escaped, and a string value is followed by "," or a bracket, not ":"."""
+    doc = json.dumps(report, indent=2)
+    if chunks:
+        head, _, tail = doc.partition('"rows": []')
+        sys.stdout.write(head + '"rows": [\n')
+        sys.stdout.writelines(chunks)
+        doc = "\n    ]" + tail
+    print(doc)
+
+
 def cmd_props(args) -> int:
+    """Property suite over every graph of the corpus, in one report.
+
+    The whole corpus is parsed first, so a bad line fails before any suite
+    work.  Each graph is then dropped once its row is built, and the rows
+    are kept as JSON text, encoded PROPS_BATCH at a time, so memory follows
+    the size of the output.  The printed bytes are those that _emit prints
+    for the same report with its rows in place.
+    """
     t0 = time.perf_counter()
     with open(args.corpus, encoding="latin-1") as fh:
         text = fh.read()
-    graphs = parse_graph6_lines(text)
-    # parse_graph6_lines skips blank lines; pair each graph with its line and number
-    lines = ((number, line) for number, line in enumerate(text.splitlines(), 1) if line.strip())
+    graphs: list[Graph | None] = parse_graph6_lines(text)
     parse_ms = (time.perf_counter() - t0) * 1000
     budget = SearchBudget(args.node_cap, args.time_cap)
     t0 = time.perf_counter()
-    rows = []
+    chunks: list[str] = []
+    rows: list[dict] = []
     failures = 0
     indeterminate = 0
-    for (number, line), g in zip(lines, graphs):
+    # graph6_lines yields the lines that parse_graph6_lines parsed, in order
+    for i, (number, line) in enumerate(graph6_lines(text)):
         try:
-            row, ok, indet = _props_one(g, line, budget)
+            row, ok, indet = _props_one(graphs[i], line, budget)
         except ValueError as exc:
             raise ValueError(f"line {number}: {exc}") from None
+        graphs[i] = None
         rows.append(row)
+        if len(rows) == PROPS_BATCH or i == len(graphs) - 1:
+            chunks.append(_rows_text(rows, not chunks))
+            rows = []
         failures += 0 if ok else 1
         indeterminate += 1 if indet else 0
     suite_ms = (time.perf_counter() - t0) * 1000
-    _emit(
+    report = _report(
         "props",
         {"corpus": args.corpus, "seed": args.seed},
         {
             "graphs": len(graphs),
             "failures": failures,
             "indeterminate": indeterminate,
-            "rows": rows,
+            "rows": [],
         },
         {"parse_ms": parse_ms, "suite_ms": suite_ms},
     )
+    _emit_props(report, chunks)
     _say(f"{len(graphs)} graphs: {failures} failures, {indeterminate} indeterminate")
     if failures:
         return EXIT_FALSE

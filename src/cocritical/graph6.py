@@ -9,6 +9,8 @@ and rejects malformed input with the byte offset of the problem.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+
 from .graphs import Graph, MAX_ORDER
 
 
@@ -96,12 +98,24 @@ def _parse_order(data: bytes) -> tuple[int, int]:
     return n, 4
 
 
+def graph6_lines(text: str) -> Iterator[tuple[int, str]]:
+    r"""(1-based number, line) for each nonblank line of text.
+
+    Lines end at "\n" only.  str.splitlines would also break at \x0b,
+    \x0c, \x1c-\x1e and \x85, which latin-1 decoding makes of stray
+    bytes, and so would split one bad line into graphs.  A universal-newline
+    read has already turned "\r\n" and "\r" into "\n", and parse_graph6
+    strips a trailing "\r".
+    """
+    for number, line in enumerate(text.split("\n"), 1):
+        if line.strip():
+            yield number, line
+
+
 def parse_graph6_lines(text: str) -> list[Graph]:
-    """Parse one graph per nonblank line; errors name the 1-based line."""
+    """Parse one graph per line of graph6_lines; errors name its number."""
     graphs = []
-    for number, line in enumerate(text.splitlines(), 1):
-        if not line.strip():
-            continue
+    for number, line in graph6_lines(text):
         try:
             graphs.append(parse_graph6(line))
         except ValueError as exc:

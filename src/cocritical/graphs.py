@@ -164,24 +164,10 @@ def make_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     return Graph(n, tuple(rows))
 
 
-def empty_graph(n: int) -> Graph:
-    return make_graph(n, [])
-
-
 def complete_graph(n: int) -> Graph:
     _check_order(n)
     full = (1 << n) - 1
     return Graph(n, tuple(full ^ (1 << v) for v in range(n)))
-
-
-def cycle_graph(n: int) -> Graph:
-    if n < 3:
-        raise ValueError("cycle needs at least 3 vertices")
-    return make_graph(n, [(v, (v + 1) % n) for v in range(n)])
-
-
-def path_graph(n: int) -> Graph:
-    return make_graph(n, [(v, v + 1) for v in range(n - 1)])
 
 
 def add_edge(g: Graph, u: int, v: int) -> Graph:
@@ -204,14 +190,6 @@ def add_edge(g: Graph, u: int, v: int) -> Graph:
 def complement(g: Graph) -> Graph:
     full = g.vertex_mask
     return Graph(g.n, tuple((full ^ row) & ~(1 << v) for v, row in enumerate(g.adj)))
-
-
-def disjoint_union(a: Graph, b: Graph) -> Graph:
-    """a followed by b, b's vertex ids shifted up by a.n."""
-    if a.n + b.n > MAX_ORDER:
-        raise ValueError("union exceeds maximum order")
-    rows = list(a.adj) + [row << a.n for row in b.adj]
-    return Graph(a.n + b.n, tuple(rows))
 
 
 def components(g: Graph) -> list[frozenset[int]]:

@@ -103,6 +103,8 @@ class CocriticalReport:
         return CO_CRITICAL
 
     def to_json(self) -> dict:
+        # millis stays out, so two runs of one question give the same
+        # results; the CLI reports it as timings.walk_ms
         return {
             "t": self.t,
             "k": self.k,
@@ -113,7 +115,6 @@ class CocriticalReport:
             "base_witness": None if self.base_witness is None else self.base_witness.to_json(),
             "failures": [[list(edge), reason] for edge, reason in self.failures],
             "nodes": self.nodes,
-            "millis": round(self.millis, 3),
             "complete": self.complete,
         }
 

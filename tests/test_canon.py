@@ -4,6 +4,7 @@ import hashlib
 import random
 
 import pytest
+from graph_families import cycle_graph, disjoint_union
 from test_graphs import relabel
 
 from cocritical import canon, verify
@@ -14,13 +15,7 @@ from cocritical.canon import (
     nonisomorphic_graphs,
 )
 from cocritical.graph6 import emit_graph6
-from cocritical.graphs import (
-    Graph,
-    complete_graph,
-    cycle_graph,
-    disjoint_union,
-    make_graph,
-)
+from cocritical.graphs import Graph, complete_graph, make_graph
 
 # class counts for unlabeled graphs on 1..8 vertices (OEIS A000088)
 CLASS_COUNTS = [1, 2, 4, 11, 34, 156, 1044, 12346]

@@ -3,19 +3,23 @@
 import argparse
 import json
 import os
+import random
 import subprocess
 import sys
+import tracemalloc
+import weakref
 from pathlib import Path
 
 import pytest
 from test_verify import refuting_by_combinations
 
-from cocritical import cli, construction, stable, verify
+from cocritical import __version__, cli, construction, stable, verify
 from cocritical.canon import nonisomorphic_graphs
 from cocritical.cli import main
 from cocritical.construction import ConstructionParams, build
 from cocritical.graph6 import emit_graph6, parse_graph6
-from cocritical.graphs import max_stable_sets
+from cocritical.graphs import complete_graph, make_graph, max_stable_sets
+from cocritical.search import SearchBudget
 
 
 def run_cli(capsys, *argv):
@@ -102,8 +106,18 @@ def test_verify_frozen_instance(capsys):
     assert res["nodes"] == 60
     assert res["structure"]["all_passed"]
     assert res["coloring_structure_violations"] == []
+    assert "millis" not in res
     timings = doc["timings"]
-    assert set(timings) == {"parse_ms", "verify_ms", "checks_ms"}
+    assert set(timings) == {"parse_ms", "verify_ms", "walk_ms", "checks_ms"}
+
+
+def test_verify_results_repeat_byte_for_byte(capsys):
+    # the walk's wall time is a timing, so only timings differ between runs
+    argv = ["verify", "--construct", "4,3,13", "--t", "4", "--k", "3", "--checks"]
+    docs = [run_json(capsys, *argv)[1] for _ in range(2)]
+    first, second = (json.dumps(doc["results"], indent=2) for doc in docs)
+    assert first == second
+    assert all(doc["timings"]["walk_ms"] <= doc["timings"]["verify_ms"] for doc in docs)
 
 
 def test_verify_complete_graph_fails(capsys):
@@ -361,6 +375,131 @@ def test_props_rows_carry_the_emitted_graph6(capsys, tmp_path):
     assert [emit_graph6(parse_graph6(line)) for line in long_form] == ["DN{", "Bw", "@"]
 
 
+def props_as_dicts(path, out, budget=SearchBudget()):
+    """The props report of the corpus at path built as dicts, rows and all,
+    and encoded with one json.dumps; its timings are taken from out, the
+    stdout of the run being checked."""
+    lines = [line for line in path.read_text(encoding="latin-1").split("\n") if line.strip()]
+    rows, failures, indeterminate = [], 0, 0
+    for line in lines:
+        row, ok, indet = cli._props_one(parse_graph6(line), line, budget)
+        rows.append(row)
+        failures += not ok
+        indeterminate += indet
+    report = {
+        "command": "props",
+        "inputs": {"corpus": str(path), "seed": 0},
+        "results": {
+            "graphs": len(lines),
+            "failures": failures,
+            "indeterminate": indeterminate,
+            "rows": rows,
+        },
+        "timings": json.loads(out)["timings"],
+        "version": __version__,
+    }
+    return json.dumps(report, indent=2) + "\n"
+
+
+def props_pool():
+    """Corpus lines that between them give every row shape: the oracle's
+    dict and its "skipped" string, stable_intersection applicable and not,
+    graph6 text with a backslash, and a long-form line re-encoded short."""
+    short = [emit_graph6(g) for n in range(1, 6) for g in nonisomorphic_graphs(n)]
+    six = map(emit_graph6, nonisomorphic_graphs(6))
+    backslash = [line for line in short + list(six) if "\\" in line]
+    return short + backslash[:3] + ["~??DN{", emit_graph6(complete_graph(7)), "~??B?"]
+
+
+def test_props_pool_has_every_row_shape(capsys, tmp_path):
+    corpus = tmp_path / "corpus.g6"
+    corpus.write_text("\n".join(props_pool()) + "\n")
+    code, doc = run_json(capsys, "props", "--corpus", str(corpus))
+    rows = doc["results"]["rows"]
+    assert code == 0
+    assert {type(row["oracle_agreement"]) for row in rows} == {dict, str}
+    assert {row["stable_intersection"]["applicable"] for row in rows} == {True, False}
+    assert any("\\" in row["graph6"] for row in rows)
+    assert "~??DN{" not in {row["graph6"] for row in rows}
+
+
+B = cli.PROPS_BATCH
+
+
+@pytest.mark.parametrize(
+    "size", [0, 1, B - 1, B, B + 1, 2 * B + 1], ids=["0", "1", "B-1", "B", "B+1", "2B+1"]
+)
+def test_props_bytes_match_one_dumps_of_the_report(capsys, tmp_path, size):
+    # the rows are encoded in batches of B = cli.PROPS_BATCH; the printed
+    # bytes must be those of the report encoded at once
+    pool = props_pool()
+    lines = [pool[i % len(pool)] for i in range(size)]
+    # the report's '"rows": []' cut must not be fooled by the same text in a path
+    corpus = tmp_path / '"rows": [].g6'
+    corpus.write_text("".join(line + "\n" for line in lines))
+    code, out, _ = run_cli(capsys, "props", "--corpus", str(corpus))
+    assert code == 0
+    assert out == props_as_dicts(corpus, out)
+    assert len(json.loads(out)["results"]["rows"]) == size
+
+
+def test_props_bytes_match_with_blank_lines_and_an_indeterminate_row(capsys, tmp_path):
+    corpus = tmp_path / "corpus.g6"
+    corpus.write_text("\n\n")
+    code, out, _ = run_cli(capsys, "props", "--corpus", str(corpus))
+    assert code == 0 and '"rows": []' in out
+    assert out == props_as_dicts(corpus, out)
+    pool = props_pool()
+    corpus.write_text("\n".join(pool[:30] + [""] + pool[30:]) + "\r\n")
+    code, out, _ = run_cli(capsys, "props", "--corpus", str(corpus), "--node-cap", "1")
+    assert code == 3
+    assert out == props_as_dicts(corpus, out, SearchBudget(node_cap=1))
+
+
+def test_props_drops_each_graph_once_its_row_is_built(capsys, tmp_path, monkeypatch):
+    refs, alive = [], []
+    props_one = cli._props_one
+
+    def watched(g, line, budget):
+        # the stable-set cache keeps the previous graph until this one's
+        # family is asked for, so only the graphs before it must be gone
+        alive.append(sum(ref() is not None for ref in refs[:-1]))
+        refs.append(weakref.ref(g))
+        return props_one(g, line, budget)
+
+    monkeypatch.setattr(cli, "_props_one", watched)
+    pool = props_pool()
+    corpus = tmp_path / "corpus.g6"
+    corpus.write_text("".join(line + "\n" for line in pool))
+    code, _ = run_json(capsys, "props", "--corpus", str(corpus))
+    assert code == 0
+    assert alive == [0] * len(pool)
+
+
+def test_props_memory_follows_the_output(capsys, tmp_path):
+    # every row is held as encoded text and every graph dropped once its
+    # row is built; holding every graph, every row dict and the encoder's
+    # chunk list at once peaks near 11 times the output
+    rng = random.Random(32)
+    lines = []
+    for _ in range(1000):
+        n = rng.randint(12, 18)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        g = make_graph(n, rng.sample(pairs, rng.randint(21, len(pairs) // 2)))
+        lines.append(emit_graph6(g))
+    corpus = tmp_path / "corpus.g6"
+    corpus.write_text("\n".join(lines) + "\n")
+    tracemalloc.start()
+    try:
+        code = main(["props", "--corpus", str(corpus)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out = capsys.readouterr().out
+    assert code == 0 and json.loads(out)["results"]["graphs"] == 1000
+    assert peak < 5 * len(out), peak / len(out)
+
+
 def test_props_enumerates_each_stable_family_once(capsys, tmp_path, monkeypatch):
     calls = []
 
@@ -445,6 +584,22 @@ def test_non_ascii_byte_is_located(capsys, tmp_path, command):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert "line 2: byte 1:" in err
+
+
+@pytest.mark.parametrize("command", ["props", "verify"])
+@pytest.mark.parametrize("byte", [0x0B, 0x0C, 0x1C, 0x1D, 0x1E, 0x85], ids=lambda b: f"{b:#04x}")
+def test_control_byte_is_not_a_line_break(capsys, tmp_path, command, byte):
+    # str.splitlines would split line 1 in two and accept the file
+    path = tmp_path / "bad.g6"
+    if command == "props":
+        path.write_bytes(b"C~%cC~\nDN{\n" % byte)
+        argv = ["props", "--corpus", str(path)]
+    else:
+        path.write_bytes(b"C~%cC~\n" % byte)
+        argv = ["verify", "--input", str(path), "--t", "3", "--k", "3"]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: line 1: byte 2: character {byte} outside graph6 range\n"
 
 
 def test_negative_complete_order(capsys):
@@ -562,7 +717,7 @@ def test_percolate_bad_seed_names_the_option(capsys):
 # one case per exit of each subcommand that is not a usage error:
 # (command line, exit code, timings keys, stderr line); CORPUS is a file
 # holding DN{
-VERIFY_MS = "parse_ms verify_ms checks_ms"
+VERIFY_MS = "parse_ms verify_ms walk_ms checks_ms"
 CERT_MS = "derive_ms run_ms"
 PROPS_MS = "parse_ms suite_ms"
 REPORT_EXITS = {
@@ -705,7 +860,7 @@ def test_parser_is_built_once_per_process(capsys, tmp_path, monkeypatch):
 
 def answer(capsys, argv):
     """Exit code, stderr and the JSON report of one main call, with the
-    report's timings and the walk's millis removed."""
+    report's timings removed."""
     try:
         code = main(argv)
     except SystemExit as exc:  # argparse rejected the option
@@ -714,7 +869,6 @@ def answer(capsys, argv):
     doc = json.loads(out) if out else None
     if doc is not None:
         del doc["timings"]
-        doc["results"].pop("millis", None)
     return code, err, doc
 
 

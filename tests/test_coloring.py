@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from graph_families import cycle_graph
 
 from cocritical.coloring import (
     BlockPartition,
@@ -17,7 +18,7 @@ from cocritical.coloring import (
     partition_to_coloring,
     within_edges,
 )
-from cocritical.graphs import complete_graph, cycle_graph, iter_bits, make_graph
+from cocritical.graphs import complete_graph, iter_bits, make_graph
 
 
 def rand_graph(rng, n, p=0.5):

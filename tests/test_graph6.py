@@ -4,12 +4,14 @@ reference decoder written here from the format description."""
 import random
 
 import pytest
+from graph_families import cycle_graph, empty_graph
 from oracles import reference_parse_graph6
 
 from cocritical.canon import nonisomorphic_graphs
-from cocritical.graphs import complete_graph, cycle_graph, empty_graph, make_graph
+from cocritical.graphs import complete_graph, make_graph
 from cocritical.graph6 import (
     emit_graph6,
+    graph6_lines,
     parse_graph6,
     parse_graph6_lines,
 )
@@ -168,6 +170,30 @@ def test_parse_lines():
     graphs = parse_graph6_lines(lines)
     assert graphs == [complete_graph(3), cycle_graph(4)]
 
+
+# str.splitlines breaks at each of these too; latin-1 decoding makes them
+# of stray bytes
+SPLITLINES_BREAKS = "\x0b\x0c\x1c\x1d\x1e\x85"
+
+
+@pytest.mark.parametrize("ch", SPLITLINES_BREAKS, ids=lambda ch: f"{ord(ch):#04x}")
+def test_lines_break_at_newline_only(ch):
+    text = f"C~{ch}C~\nDN{{\n"
+    assert list(graph6_lines(text)) == [(1, f"C~{ch}C~"), (2, "DN{")]
+    with pytest.raises(ValueError) as err:
+        parse_graph6_lines(text)
+    assert str(err.value) == f"line 1: byte 2: character {ord(ch)} outside graph6 range"
+    # a line holding only such characters is blank, and numbers stay in step
+    text = f"C~\n{ch}\n\nDN{{\nC{ch}\n"
+    assert [number for number, _ in graph6_lines(text)] == [1, 4, 5]
+    with pytest.raises(ValueError) as err:
+        parse_graph6_lines(text)
+    assert str(err.value) == f"line 5: byte 1: character {ord(ch)} outside graph6 range"
+
+
+def test_lines_keep_a_trailing_carriage_return_out_of_the_graph():
+    assert parse_graph6_lines("C~\r\n\r\nDN{\r") == [complete_graph(4), parse_graph6("DN{")]
+    assert [number for number, _ in graph6_lines("C~\r\n\r\nDN{\r")] == [1, 3]
 
 
 def test_codec_matches_networkx():

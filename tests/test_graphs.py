@@ -5,6 +5,7 @@ import random
 from itertools import combinations
 
 import pytest
+from graph_families import cycle_graph, disjoint_union, empty_graph, path_graph
 from oracles import reference_max_stable_sets
 
 from cocritical.canon import nonisomorphic_graphs
@@ -17,9 +18,6 @@ from cocritical.graphs import (
     complement,
     complete_graph,
     components,
-    cycle_graph,
-    disjoint_union,
-    empty_graph,
     enumerate_cliques,
     enumerate_cliques_in_mask,
     has_clique,
@@ -27,7 +25,6 @@ from cocritical.graphs import (
     make_graph,
     max_stable_sets,
     maximal_cliques,
-    path_graph,
     twin_classes,
 )
 

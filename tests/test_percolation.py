@@ -6,11 +6,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from graph_families import cycle_graph
 
 from cocritical.canon import nonisomorphic_graphs
 from cocritical.coloring import BlockPartition, blue_blocks, cross_graph
 from cocritical.construction import ConstructionParams, blueprint_coloring, build, min_order
-from cocritical.graphs import bitmask, complete_graph, cycle_graph, iter_bits, make_graph
+from cocritical.graphs import bitmask, complete_graph, iter_bits, make_graph
 from cocritical.percolation import PercolationError, _measure, closure, run
 
 

@@ -8,6 +8,7 @@ from functools import cache
 from itertools import combinations, product
 
 import pytest
+from graph_families import empty_graph
 from oracles import (
     brute_force_critical_colorings,
     enumerate_critical_colorings,
@@ -33,7 +34,6 @@ from cocritical.graphs import (
     _clique_rec,
     bitmask,
     complete_graph,
-    empty_graph,
     has_clique,
     iter_bits,
     make_graph,

@@ -6,19 +6,11 @@ import random
 from itertools import combinations
 
 import pytest
+from graph_families import cycle_graph, disjoint_union, empty_graph, path_graph
 from test_graphs import clique_number
 
 from cocritical.canon import nonisomorphic_graphs
-from cocritical.graphs import (
-    clique_core_in_mask,
-    complete_graph,
-    cycle_graph,
-    disjoint_union,
-    empty_graph,
-    enumerate_cliques,
-    make_graph,
-    path_graph,
-)
+from cocritical.graphs import clique_core_in_mask, complete_graph, enumerate_cliques, make_graph
 from cocritical.stable import (
     hajnal_check,
     stable_family_stats,

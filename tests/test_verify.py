@@ -5,6 +5,7 @@ import math
 from itertools import combinations
 
 import pytest
+from graph_families import cycle_graph, empty_graph, path_graph
 from oracles import lower_twins, obeys, ruleless_walk
 from test_search import FROZEN_MAX_RED_BLUE
 
@@ -12,16 +13,7 @@ from cocritical import cli, search, verify
 from cocritical.canon import GENERATION_ORDER_CAP, iter_classes, nonisomorphic_graphs
 from cocritical.coloring import make_coloring, make_partition
 from cocritical.construction import ConstructionParams, blueprint_coloring, build
-from cocritical.graphs import (
-    add_edge,
-    complete_graph,
-    cycle_graph,
-    empty_graph,
-    make_graph,
-    path_graph,
-    twin_classes,
-    twin_masks,
-)
+from cocritical.graphs import add_edge, complete_graph, make_graph, twin_classes, twin_masks
 from cocritical.graph6 import emit_graph6, parse_graph6
 from cocritical.search import (
     EXHAUSTED,
