@@ -28,12 +28,17 @@ d_seeds(x) outside; phi(v) is the sum of f over N(v); a vertex is bad when its
 weight is below 2q^2; and the progress floor is 1.  Fractions appear only in
 messages.
 
-f takes few values (2q, q and 1..|seeds|), so phi is summed per influence
-class: the vertices sharing one value c form a mask, and phi(v) is the sum
-over c of c * |N(v) & mask_c|.  The masks partition the vertices of nonzero
-influence, so each neighbor is counted once, at its own f, and the class sum
-is the per-neighbor sum exactly: one popcount per class replaces one step per
-neighbor.
+Each quantity is one pass over the rows or over the exterior, and omega(v)
+is taken as q*(deg(v) + d_closure(v)) (see _measure).  phi is summed per
+influence class: the vertices sharing one value c of f form a mask, and
+phi(v) is the sum over c of c * |N(v) & mask_c|.  The masks partition the
+vertices of nonzero influence, so each neighbor is counted once, at its own
+f, and the class sum is the per-neighbor sum exactly.  The seeds (2q) and
+the rest of the closure (q) give q*(d_seeds(v) + d_closure(v)) together.  An
+exterior vertex has fewer than q active neighbors, or it would have
+activated, so its d_seeds(x) is at most q - 1 and never meets q or 2q: each
+value of the exterior vertices adjacent to a seed is a class of its own, one
+more popcount per row, and every other exterior vertex has influence 0.
 
 Every inequality the final certificate relies on is re-established by
 explicit counting, and any violation raises with the full iteration trail
@@ -45,6 +50,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+from operator import lt
 
 from .coloring import BlockPartition, _check_cover
 from .graphs import Graph, bitmask, iter_bits
@@ -59,7 +65,13 @@ class PercolationError(RuntimeError):
 
 
 def closure(g: Graph, seeds: frozenset[int], q: int) -> frozenset[int]:
-    """Seeds plus everything that activates at threshold q."""
+    """Seeds plus everything that activates at threshold q.
+
+    q below 1 and a seed outside 0..n-1 raise ValueError with run's
+    messages; no seeds close to the empty set."""
+    check_threshold(q)
+    if seeds:
+        check_seeds(seeds, g.n)
     active, _ = _close(g.adj, g.n, bitmask(seeds), q)
     return frozenset(iter_bits(active))
 
@@ -93,36 +105,40 @@ def _measure(g: Graph, q: int, seed_mask: int):
 
     Returns (closure mask, activation edges, exterior mask, weight of each
     exterior vertex as a dict, influence list, score list, bad mask).  Raises
-    if a score exceeds its weight.  Each score is summed per influence class,
-    which equals the sum over the neighbors because the classes split the
-    neighborhood by the value of f (see the module docstring)."""
+    if a score exceeds its weight.
+
+    The weight 2q*d_C(v) + q*d_Y(v) is q*(deg(v) + d_C(v)), because a
+    loop-free graph has d_C(v) + d_Y(v) = deg(v); run checks the weight sum
+    against its own count of the edges between C and Y and inside Y.  The
+    score is summed per influence class (see the module docstring)."""
     adj = g.adj
     closure_mask, activation_edges = _close(adj, g.n, seed_mask, q)
     ext_mask = g.vertex_mask & ~closure_mask
-    weight = {
-        v: 2 * q * (adj[v] & closure_mask).bit_count() + q * (adj[v] & ext_mask).bit_count()
-        for v in iter_bits(ext_mask)
-    }
-    influence = [
-        2 * q if seed_mask >> x & 1
-        else q if closure_mask >> x & 1
-        else (row & seed_mask).bit_count()
-        for x, row in enumerate(adj)
-    ]
-    # one mask per nonzero influence value; an exterior d_seeds(x) may equal
-    # q or 2q, so the masks are merged by value
+    exterior = [v for v in range(g.n) if ext_mask >> v & 1]
+    d_seeds = [(row & seed_mask).bit_count() for row in adj]
+    d_closure = [(row & closure_mask).bit_count() for row in adj]
+    weight = {v: q * (adj[v].bit_count() + d_closure[v]) for v in exterior}
+    influence = d_seeds[:]
+    for x in iter_bits(closure_mask & ~seed_mask):
+        influence[x] = q
+    seed_nbrs = 0
+    for x in iter_bits(seed_mask):
+        influence[x] = 2 * q
+        seed_nbrs |= adj[x]
+    # 2q on S and q on C minus S give q*(d_S + d_C); an exterior vertex has
+    # fewer than q active neighbors, so d_S(x) <= q - 1 and each exterior
+    # value is a class of its own
     classes: dict[int, int] = {}
-    for x, f in enumerate(influence):
-        if f:
-            classes[f] = classes.get(f, 0) | 1 << x
-    score = [sum(f * (row & mask).bit_count() for f, mask in classes.items()) for row in adj]
-    bad = 0
-    for v, w in weight.items():
-        # the potential never exceeds the weight it chases
-        if score[v] > w:
-            raise PercolationError(f"score exceeds weight at vertex {v}")
-        if w < 2 * q * q:
-            bad |= 1 << v
+    for x in iter_bits(seed_nbrs & ext_mask):
+        classes[d_seeds[x]] = classes.get(d_seeds[x], 0) | 1 << x
+    score = [q * (s + c) for s, c in zip(d_seeds, d_closure)]
+    for f, mask in classes.items():
+        score = [s + f * (row & mask).bit_count() for s, row in zip(score, adj)]
+    # the potential never exceeds the weight it chases
+    over = [v for v in exterior if score[v] > weight[v]]
+    if over:
+        raise PercolationError(f"score exceeds weight at vertex {over[0]}")
+    bad = bitmask([v for v in exterior if weight[v] < 2 * q * q])
     return closure_mask, activation_edges, ext_mask, weight, influence, score, bad
 
 
@@ -208,12 +224,6 @@ class PercolationCertificate:
         return {k: list(v) if isinstance(v, tuple) else v for k, v in vars(self).items()}
 
 
-def default_seed(g: Graph) -> int:
-    """The lowest vertex of minimum degree."""
-    adj = g.adj
-    return min(range(g.n), key=lambda v: (adj[v].bit_count(), v))
-
-
 def check_threshold(q: int) -> None:
     if q < 1:
         raise ValueError("threshold q must be at least 1")
@@ -248,12 +258,13 @@ def run(
         raise ValueError("graph has no vertices: nothing to percolate")
     check_threshold(q)
     _check_cover(g, partition)
-    if g.min_degree() < q:
-        raise ValueError(
-            f"minimum degree {g.min_degree()} below threshold {q}: no certificate possible"
-        )
+    adj = g.adj
+    degrees = [row.bit_count() for row in adj]
+    low = min(degrees)
+    if low < q:
+        raise ValueError(f"minimum degree {low} below threshold {q}: no certificate possible")
     if seeds is None:
-        seeds = frozenset({default_seed(g)})
+        seeds = frozenset({degrees.index(low)})  # the lowest vertex of minimum degree
     seeds = frozenset(seeds)
     check_seeds(seeds, g.n)
 
@@ -281,9 +292,9 @@ def run(
                 raise PercolationError("closure not monotone under seed growth")
             if bad & ~old_bad:
                 raise PercolationError("bad set gained a vertex")
-            for x in range(g.n):
-                if influence[x] < old_influence[x]:
-                    raise PercolationError(f"influence dropped at vertex {x}")
+            if any(map(lt, influence, old_influence)):
+                x = next(x for x in range(g.n) if influence[x] < old_influence[x])
+                raise PercolationError(f"influence dropped at vertex {x}")
             for v in iter_bits(bad):
                 gain = score[v] - old_score[v]
                 if gain < 1:  # the floor 1/(2q), in units of 1/(2q)
@@ -307,11 +318,11 @@ def run(
             f"bad vertices {list(iter_bits(bad))} survived {cap} iterations", tuple(trail)
         )
 
-    adj = g.adj
-    e_closure = sum((adj[v] & closure_mask).bit_count() for v in iter_bits(closure_mask)) // 2
-    e_between = sum((adj[v] & ext_mask).bit_count() for v in iter_bits(closure_mask))
-    e_ext = sum((adj[v] & ext_mask).bit_count() for v in iter_bits(ext_mask)) // 2
-    e_total = g.edge_count()
+    closed = [adj[v] for v in iter_bits(closure_mask)]
+    e_closure = sum([(row & closure_mask).bit_count() for row in closed]) // 2
+    e_between = sum([(row & ext_mask).bit_count() for row in closed])
+    e_ext = sum([(adj[v] & ext_mask).bit_count() for v in iter_bits(ext_mask)]) // 2
+    e_total = sum(degrees) // 2
     if e_closure + e_between + e_ext != e_total:
         raise PercolationError("edge partition does not add up", tuple(trail))
     activated = closure_mask.bit_count() - seed_mask.bit_count()

@@ -17,13 +17,27 @@ reference_parse_graph6 decodes graph6 bit by bit and reference_max_stable_sets
 searches stable sets with the popcount cut alone; the library's
 graph6.parse_graph6 and graphs.max_stable_sets must agree with them exactly,
 error messages and family order included.
+
+reference_percolation_run is the percolation kernel as it was before its
+per-vertex quantities were computed in whole-row passes: a bit loop per
+vertex for weight and influence, and one generator per row for the score.
+percolation.run must return the same certificate, trail included, or raise
+PercolationError with the same message and trail.
 """
 
 import time
+from fractions import Fraction
+from math import comb
 
 from cocritical import search
-from cocritical.coloring import EdgeColoring
-from cocritical.graphs import MAX_ORDER, Graph, _clique_rec, iter_bits, twin_masks
+from cocritical.coloring import BlockPartition, EdgeColoring, _check_cover
+from cocritical.graphs import MAX_ORDER, Graph, _clique_rec, bitmask, iter_bits, twin_masks
+from cocritical.percolation import (
+    PercolationCertificate,
+    PercolationError,
+    check_seeds,
+    check_threshold,
+)
 from cocritical.search import EXHAUSTED, FOUND
 
 ENUMERATION_CAP = 10**6
@@ -248,3 +262,251 @@ def reference_max_stable_sets(g: Graph) -> tuple[int, list[frozenset[int]]]:
 
     extend(full)
     return best, family
+
+
+def _ref_close(adj, n: int, seed_mask: int, q: int):
+    """Run activation rounds; also count, per newly active vertex, its edges
+    into the previously active set.  Those edges are pairwise distinct and lie
+    inside the final closure, so their total is a certified lower bound on
+    e(closure) of q per activated vertex."""
+    active = seed_mask
+    activation_edges = 0
+    while True:
+        newly = 0
+        gained = 0
+        for v in range(n):
+            if active >> v & 1:
+                continue
+            d = (adj[v] & active).bit_count()
+            if d >= q:
+                newly |= 1 << v
+                gained += d
+        if not newly:
+            break
+        active |= newly
+        activation_edges += gained
+    return active, activation_edges
+
+
+def _ref_measure(g: Graph, q: int, seed_mask: int):
+    """Measure one seed set, in units of 1/(2q).
+
+    Returns (closure mask, activation edges, exterior mask, weight of each
+    exterior vertex as a dict, influence list, score list, bad mask).  Raises
+    if a score exceeds its weight.  Each score is summed per influence class,
+    which equals the sum over the neighbors because the classes split the
+    neighborhood by the value of f (see the module docstring)."""
+    adj = g.adj
+    closure_mask, activation_edges = _ref_close(adj, g.n, seed_mask, q)
+    ext_mask = g.vertex_mask & ~closure_mask
+    weight = {
+        v: 2 * q * (adj[v] & closure_mask).bit_count() + q * (adj[v] & ext_mask).bit_count()
+        for v in iter_bits(ext_mask)
+    }
+    influence = [
+        2 * q if seed_mask >> x & 1
+        else q if closure_mask >> x & 1
+        else (row & seed_mask).bit_count()
+        for x, row in enumerate(adj)
+    ]
+    # one mask per nonzero influence value; an exterior d_seeds(x) may equal
+    # q or 2q, so the masks are merged by value
+    classes: dict[int, int] = {}
+    for x, f in enumerate(influence):
+        if f:
+            classes[f] = classes.get(f, 0) | 1 << x
+    score = [sum(f * (row & mask).bit_count() for f, mask in classes.items()) for row in adj]
+    bad = 0
+    for v, w in weight.items():
+        # the potential never exceeds the weight it chases
+        if score[v] > w:
+            raise PercolationError(f"score exceeds weight at vertex {v}")
+        if w < 2 * q * q:
+            bad |= 1 << v
+    return closure_mask, activation_edges, ext_mask, weight, influence, score, bad
+
+
+def _ref_repair(g: Graph, partition: BlockPartition, q: int, iteration: int,
+            seed_mask: int, closure_mask: int, bad: int) -> tuple[int, dict]:
+    """One augmentation round: group bad vertices by their seed-neighborhood
+    trace, add one booster per trace plus its bad block classmates and its
+    old-closure neighborhood.  Returns the grown seed mask and the round's
+    trail detail.
+
+    The seed set may grow by at most B + q - 1 per trace, with B the size
+    of the largest block, and a larger growth raises.  A trace adds its
+    booster, the bad classmates that share the booster's block (at most
+    B - 1 of them besides the booster), and the booster's closure
+    neighbours.  The booster is exterior, so fewer than q of its neighbours
+    lie in the closure, or it would have activated: at most q - 1 of them.
+    """
+    adj = g.adj
+    traces: dict[int, int] = {}  # trace mask -> smallest bad representative
+    for v in iter_bits(bad):
+        traces.setdefault(adj[v] & seed_mask, v)
+    seed_count = seed_mask.bit_count()
+    trace_bound = sum(comb(seed_count, j) for j in range(q))
+    if len(traces) > trace_bound:
+        raise PercolationError(
+            f"{len(traces)} traces exceed the size-{q - 1} neighborhood bound {trace_bound}"
+        )
+
+    added = 0
+    detail: dict[str, dict] = {}
+    for trace_mask, rep in traces.items():  # first-seen order: reps ascend
+        ext_nbrs = adj[rep] & ~closure_mask
+        if not ext_nbrs:
+            raise PercolationError(f"bad vertex {rep} has no exterior neighbor")
+        booster = (ext_nbrs & -ext_nbrs).bit_length() - 1
+        block = next(b for b in partition.blocks if b >> booster & 1)
+        classmates = [v for v in iter_bits(bad & block) if adj[v] & seed_mask == trace_mask]
+        closure_nbrs = adj[booster] & closure_mask
+        added |= 1 << booster | bitmask(classmates) | closure_nbrs
+        detail[",".join(map(str, iter_bits(trace_mask)))] = {
+            "representative": rep,
+            "booster": booster,
+            "classmates": classmates,
+            "closure_neighbors": list(iter_bits(closure_nbrs)),
+        }
+
+    grown = seed_mask | added
+    allowance = (max(b.bit_count() for b in partition.blocks) + q - 1) * len(traces)
+    if grown.bit_count() > seed_count + allowance:
+        raise PercolationError(
+            f"seed growth {grown.bit_count() - seed_count} exceeds allowance {allowance}"
+        )
+    return grown, {
+        "iteration": iteration,
+        "trace_count": len(traces),
+        "trace_bound": trace_bound,
+        "growth_allowance": allowance,
+        "traces": detail,
+    }
+
+
+def _ref_default_seed(g: Graph) -> int:
+    """The lowest vertex of minimum degree."""
+    adj = g.adj
+    return min(range(g.n), key=lambda v: (adj[v].bit_count(), v))
+
+
+def reference_percolation_run(
+    g: Graph,
+    partition: BlockPartition,
+    q: int,
+    seeds: frozenset[int] | None = None,
+    check_progress: bool = True,
+) -> PercolationCertificate:
+    """Iterate repair steps until no bad vertex remains, then certify
+    e(H) >= q * (n - |seeds|) by explicit counting.
+
+    With check_progress any surviving bad vertex whose score rises by less
+    than 1/(2q) aborts the run (trail attached); without it the run continues
+    and the certificate comes back uncertified if violations occurred or bad
+    vertices survive the iteration cap of 2*q*q.
+    """
+    if g.n == 0:
+        raise ValueError("graph has no vertices: nothing to percolate")
+    check_threshold(q)
+    _check_cover(g, partition)
+    if g.min_degree() < q:
+        raise ValueError(
+            f"minimum degree {g.min_degree()} below threshold {q}: no certificate possible"
+        )
+    if seeds is None:
+        seeds = frozenset({_ref_default_seed(g)})
+    seeds = frozenset(seeds)
+    check_seeds(seeds, g.n)
+
+    cap = 2 * q * q
+    seed_mask = bitmask(seeds)
+    iteration = 0
+    prev = info = None
+    trail: list[dict] = []
+    violations: list[str] = []
+    while True:
+        closure_mask, activation_edges, ext_mask, weight, influence, score, bad = _ref_measure(
+            g, q, seed_mask
+        )
+        entry = {
+            "iteration": iteration,
+            "seeds": list(iter_bits(seed_mask)),
+            "closure_size": closure_mask.bit_count(),
+            "exterior_size": ext_mask.bit_count(),
+            "bad": list(iter_bits(bad)),
+            "activation_edges": activation_edges,
+        }
+        if prev is not None:
+            old_closure, old_influence, old_score, old_bad = prev
+            if old_closure & ~closure_mask:
+                raise PercolationError("closure not monotone under seed growth")
+            if bad & ~old_bad:
+                raise PercolationError("bad set gained a vertex")
+            for x in range(g.n):
+                if influence[x] < old_influence[x]:
+                    raise PercolationError(f"influence dropped at vertex {x}")
+            for v in iter_bits(bad):
+                gain = score[v] - old_score[v]
+                if gain < 1:  # the floor 1/(2q), in units of 1/(2q)
+                    msg = (
+                        f"iteration {iteration}: bad vertex {v} gained "
+                        f"{Fraction(gain, 2 * q)} < {Fraction(1, 2 * q)}"
+                    )
+                    violations.append(msg)
+                    if check_progress:
+                        trail.append(entry)
+                        raise PercolationError(msg, tuple(trail))
+            entry["step"] = info
+        trail.append(entry)
+        if not bad or iteration == cap:
+            break
+        iteration += 1
+        prev = closure_mask, influence, score, bad
+        seed_mask, info = _ref_repair(g, partition, q, iteration, seed_mask, closure_mask, bad)
+    if bad and check_progress:
+        raise PercolationError(
+            f"bad vertices {list(iter_bits(bad))} survived {cap} iterations", tuple(trail)
+        )
+
+    adj = g.adj
+    e_closure = sum((adj[v] & closure_mask).bit_count() for v in iter_bits(closure_mask)) // 2
+    e_between = sum((adj[v] & ext_mask).bit_count() for v in iter_bits(closure_mask))
+    e_ext = sum((adj[v] & ext_mask).bit_count() for v in iter_bits(ext_mask)) // 2
+    e_total = g.edge_count()
+    if e_closure + e_between + e_ext != e_total:
+        raise PercolationError("edge partition does not add up", tuple(trail))
+    activated = closure_mask.bit_count() - seed_mask.bit_count()
+    if activation_edges < q * activated:
+        raise PercolationError("activation edges fall short of q per vertex", tuple(trail))
+    if e_closure < activation_edges:
+        raise PercolationError("closure has fewer edges than were counted into it", tuple(trail))
+    weight_sum = sum(weight.values())
+    if weight_sum != 2 * q * (e_between + e_ext):
+        raise PercolationError("exterior weights do not sum to their edges", tuple(trail))
+
+    certified = not bad and not violations
+    bound = q * (g.n - seed_mask.bit_count())
+    if certified:
+        # bad is empty, so weight_sum >= q|Y| and the three-way split yields the bound
+        if weight_sum < 2 * q * q * ext_mask.bit_count():
+            raise PercolationError("exterior weight below q per vertex", tuple(trail))
+        if e_total < bound:
+            raise PercolationError("certified bound exceeds the actual edge count", tuple(trail))
+    return PercolationCertificate(
+        q,
+        tuple(sorted(seeds)),
+        tuple(iter_bits(seed_mask)),
+        iteration,
+        certified,
+        closure_mask.bit_count(),
+        ext_mask.bit_count(),
+        e_total,
+        e_closure,
+        e_between,
+        e_ext,
+        activation_edges,
+        activated,
+        bound,
+        tuple(violations),
+        tuple(trail),
+    )

@@ -7,9 +7,10 @@ from fractions import Fraction
 
 import pytest
 from graph_families import cycle_graph
+from oracles import reference_percolation_run
 
 from cocritical.canon import nonisomorphic_graphs
-from cocritical.coloring import BlockPartition, blue_blocks, cross_graph
+from cocritical.coloring import BlockPartition, blue_blocks, cross_graph, make_coloring
 from cocritical.construction import ConstructionParams, blueprint_coloring, build, min_order
 from cocritical.graphs import bitmask, complete_graph, iter_bits, make_graph
 from cocritical.percolation import PercolationError, _measure, closure, run
@@ -30,6 +31,29 @@ def test_closure_examples():
     assert closure(c4, frozenset({0, 2}), 2) == frozenset(range(4))
     assert closure(c4, frozenset({0}), 1) == frozenset(range(4))
     assert closure(complete_graph(5), frozenset({0, 1, 2}), 3) == frozenset(range(5))
+
+
+def test_closure_rejects_what_run_rejects():
+    k3 = complete_graph(3)
+    with pytest.raises(ValueError, match=r"^seed vertex 5 outside 0\.\.2$"):
+        closure(k3, frozenset({5}), 1)
+    with pytest.raises(ValueError, match=r"^seed vertex -1 outside 0\.\.2$"):
+        closure(k3, frozenset({-1}), 1)
+    with pytest.raises(ValueError, match=r"^threshold q must be at least 1$"):
+        closure(k3, frozenset({0}), 0)
+    with pytest.raises(ValueError, match=r"^seed vertex 0 given, but the graph has no vertices$"):
+        closure(make_graph(0, []), frozenset({0}), 1)
+    for bad_seeds, q in (({5}, 1), ({-1}, 1), ({0}, 0)):
+        with pytest.raises(ValueError) as from_run:
+            run(k3, singletons(3), q, seeds=frozenset(bad_seeds))
+        with pytest.raises(ValueError) as from_closure:
+            closure(k3, frozenset(bad_seeds), q)
+        assert str(from_closure.value) == str(from_run.value)
+
+
+def test_closure_of_no_seeds_is_empty():
+    assert closure(complete_graph(3), frozenset(), 1) == frozenset()
+    assert closure(make_graph(0, []), frozenset(), 2) == frozenset()
 
 
 def oracle(g, q, seeds):
@@ -155,6 +179,75 @@ def test_class_scores_match_the_neighbour_sum_on_the_percolation_grid():
                         assert score == want, (t, k, n, q, entry["iteration"])
                         rounds += 1
     assert pairs == 234 and rounds > pairs
+
+
+def percolation_grid():
+    """The grid above as (cross graph, blocks, q)."""
+    for t in (4, 5):
+        for k in range(3, 9):
+            low = min_order(t, k)
+            for n in (low, *(n for n in (64, 96, 128) if n > low)):
+                H, blocks = frozen_instance(t, k, n)
+                for q in range(1, H.min_degree() + 1):
+                    yield H, blocks, q
+
+
+def outcome(percolate, g, partition, q, seeds=None, check_progress=True):
+    """The certificate as JSON, or the message and trail of the PercolationError."""
+    try:
+        return percolate(g, partition, q, seeds, check_progress).to_json()
+    except PercolationError as e:
+        return str(e), e.trail
+
+
+def random_percolation_cases(seed, count):
+    """(graph, partition, seeds) for count seeded random graphs.
+
+    n runs from 5 to 128, most graphs small, and the edge probability from
+    0.2 to 0.8, capped at 40/n so that the minimum degree, and with it the
+    number of thresholds, stays near 40 at most.  Half the graphs keep
+    singleton blocks; the other half are the cross graphs of the blue
+    blocks of a random coloring.  Each gets 1 to 3 random seeds."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = 5 + int(123 * rng.random() ** 6)
+        g = rand_graph(rng, n, rng.uniform(0.2, min(0.8, 40 / n)))
+        if rng.random() < 0.5:
+            partition = singletons(n)
+        else:
+            block = [rng.randrange(max(1, n // 3)) for _ in range(n)]
+            blue = [(u, v) for u, v in g.edges() if block[u] == block[v]]
+            partition = blue_blocks(make_coloring(g, blue))
+            g = cross_graph(g, partition)
+        yield g, partition, frozenset(rng.sample(range(n), rng.randint(1, 3)))
+
+
+def test_run_matches_the_reference_kernel():
+    # the whole-row kernel against the bit-loop kernel it replaced: equal
+    # certificates, trail included, or the same error and trail
+    grid = 0
+    for H, blocks, q in percolation_grid():
+        for check_progress in (True, False):
+            got = outcome(run, H, blocks, q, check_progress=check_progress)
+            want = outcome(reference_percolation_run, H, blocks, q, None, check_progress)
+            assert got == want, (H.n, q, check_progress)
+        grid += 1
+    assert grid == 234
+
+    runs = raised = multi_class = 0
+    for g, partition, seeds in random_percolation_cases(1, 300):
+        for q in range(1, g.min_degree() + 1):
+            for check_progress in (True, False):
+                got = outcome(run, g, partition, q, seeds, check_progress)
+                want = outcome(reference_percolation_run, g, partition, q, seeds, check_progress)
+                assert got == want, (g.adj, q, sorted(seeds), check_progress)
+                runs += 1
+                raised += isinstance(got, tuple)
+            if isinstance(got, dict):
+                # the exterior influences of the last round take two values or more
+                _, _, ext_mask, _, influence, _, _ = _measure(g, q, bitmask(got["seeds"]))
+                multi_class += len({influence[x] for x in iter_bits(ext_mask)} - {0}) > 1
+    assert runs > 2500 and raised >= 5 and multi_class > 400
 
 
 # (t, k) -> |S|, the final seed count at the paper's threshold q = 2t - 4
